@@ -1,7 +1,7 @@
 // Microbenchmark for the virtual-cluster primitives underneath every
-// operator: RunOnNodes dispatch latency (persistent worker pool vs. the
-// legacy spawn-per-call thread model) and shuffle throughput as a function
-// of the batch size. Emits a machine-readable BENCH_cluster.json so the
+// operator: RunOnNodes dispatch latency (persistent worker lanes vs. a
+// bench-local spawn-per-call baseline: one fresh std::thread per node per
+// call) and shuffle throughput as a function of the batch size. Emits a machine-readable BENCH_cluster.json so the
 // perf trajectory of the substrate is tracked across PRs.
 //
 // Flags:
@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timer.h"
@@ -23,25 +24,40 @@ namespace {
 
 constexpr size_t kNodes = 8;
 
-ClusterOptions PureComputeOptions(bool use_pool, size_t batch_rows = 1024) {
+ClusterOptions PureComputeOptions(size_t batch_rows = 1024) {
   ClusterOptions opts;
   opts.num_nodes = kNodes;
   opts.shuffle_ns_per_byte = 0;  // pure dispatch/compute cost
-  opts.use_worker_pool = use_pool;
   opts.shuffle_batch_rows = batch_rows;
   return opts;
 }
 
-/// Average ns per RunOnNodes dispatch of a near-empty task.
-double MeasureDispatchNs(bool use_pool, int iterations) {
-  Cluster cluster(PureComputeOptions(use_pool));
+/// The spawn-per-call baseline: what RunOnNodes would cost if every call
+/// started and joined one thread per node around the closure.
+void SpawnOnNodes(const std::function<void(size_t)>& fn) {
+  std::vector<std::thread> threads;
+  threads.reserve(kNodes);
+  for (size_t n = 0; n < kNodes; n++) threads.emplace_back(fn, n);
+  for (auto& t : threads) t.join();
+}
+
+/// Average ns per dispatch of a near-empty task, on the cluster's worker
+/// lanes or (spawn = true) on spawn-per-call threads.
+double MeasureDispatchNs(bool spawn, int iterations) {
+  Cluster cluster(PureComputeOptions());
   std::atomic<uint64_t> sink{0};
-  // Warm-up (pool thread startup, first-touch of scheduler state).
-  for (int i = 0; i < 10; i++) cluster.RunOnNodes([&](size_t n) { sink += n; });
+  const std::function<void(size_t)> task = [&](size_t n) { sink += n; };
+  auto dispatch = [&] {
+    if (spawn) {
+      SpawnOnNodes(task);
+    } else {
+      cluster.RunOnNodes(task);
+    }
+  };
+  // Warm-up (lane thread startup, first-touch of scheduler state).
+  for (int i = 0; i < 10; i++) dispatch();
   Timer timer;
-  for (int i = 0; i < iterations; i++) {
-    cluster.RunOnNodes([&](size_t n) { sink += n; });
-  }
+  for (int i = 0; i < iterations; i++) dispatch();
   const double total_ns = timer.ElapsedSeconds() * 1e9;
   if (sink.load() == ~uint64_t{0}) std::printf("unreachable\n");
   return total_ns / iterations;
@@ -60,7 +76,7 @@ std::vector<Row> MakeShuffleRows(size_t n) {
 /// Shuffle throughput in rows/sec for one batch size (all-remote routing:
 /// every row shifts one node over, the worst case for batching to help).
 double MeasureShuffleRowsPerSec(size_t batch_rows, size_t n_rows, int repeats) {
-  Cluster cluster(PureComputeOptions(/*use_pool=*/true, batch_rows));
+  Cluster cluster(PureComputeOptions(batch_rows));
   auto data = cluster.Parallelize(MakeShuffleRows(n_rows));
   auto route = [](const Row& r) {
     return static_cast<uint64_t>(r[0].AsInt()) % kNodes + 1;
@@ -94,10 +110,10 @@ int main(int argc, char** argv) {
 
   std::printf("=== cluster primitives microbenchmark (%zu nodes) ===\n", kNodes);
 
-  const double spawn_ns = MeasureDispatchNs(/*use_pool=*/false, dispatch_iters);
-  const double pool_ns = MeasureDispatchNs(/*use_pool=*/true, dispatch_iters);
+  const double spawn_ns = MeasureDispatchNs(/*spawn=*/true, dispatch_iters);
+  const double pool_ns = MeasureDispatchNs(/*spawn=*/false, dispatch_iters);
   const double dispatch_speedup = spawn_ns / pool_ns;
-  std::printf("RunOnNodes dispatch: spawn-per-call %10.0f ns   worker-pool %10.0f ns"
+  std::printf("RunOnNodes dispatch: spawn-per-call %10.0f ns   worker lanes %10.0f ns"
               "   speedup %.2fx\n",
               spawn_ns, pool_ns, dispatch_speedup);
 
@@ -133,9 +149,9 @@ int main(int argc, char** argv) {
   std::printf("[written] %s\n", out_path.c_str());
 
   if (check) {
-    // Generous gate: the pool must beat spawn-per-call by a clear margin.
-    // If someone regresses RunOnNodes back to spawning threads, pool and
-    // spawn latency converge and this trips.
+    // Generous gate: lane dispatch must beat spawn-per-call by a clear
+    // margin. If someone regresses RunOnNodes back to spawning threads, the
+    // two latencies converge and this trips.
     if (pool_ns > 0.9 * spawn_ns) {
       std::fprintf(stderr,
                    "REGRESSION: worker-pool dispatch (%.0f ns) is not clearly "

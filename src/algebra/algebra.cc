@@ -14,6 +14,7 @@ const char* AlgKindName(AlgKind kind) {
     case AlgKind::kOuterUnnest: return "OuterUnnest";
     case AlgKind::kReduce: return "Reduce";
     case AlgKind::kNest: return "Nest";
+    case AlgKind::kProject: return "Project";
   }
   return "?";
 }
@@ -40,50 +41,62 @@ void Print(const AlgOpPtr& op, int indent, std::ostringstream& os) {
     os << "<null>\n";
     return;
   }
-  os << AlgKindName(op->kind);
-  switch (op->kind) {
-    case AlgKind::kScan:
-      os << '(' << op->table << " as " << op->var << ")\n";
-      return;
-    case AlgKind::kSelect:
-      os << '[' << op->pred->ToString() << "]\n";
-      break;
-    case AlgKind::kJoin:
-    case AlgKind::kOuterJoin:
-      os << '[';
-      if (op->left_key) {
-        os << op->left_key->ToString() << " = " << op->right_key->ToString();
-        if (op->pred) os << " && " << op->pred->ToString();
-      } else if (op->pred) {
-        os << op->pred->ToString();
-      } else {
-        os << "true";
-      }
-      os << "]\n";
-      break;
-    case AlgKind::kUnnest:
-    case AlgKind::kOuterUnnest:
-      os << '[' << op->path_var << " <- " << op->path->ToString() << "]\n";
-      break;
-    case AlgKind::kReduce:
-      os << '[' << op->monoid << " / " << op->head->ToString() << "]\n";
-      break;
-    case AlgKind::kNest: {
-      os << "[by " << AlgoName(op->group.algo) << '(' << op->group.term->ToString()
-         << ')';
-      for (const auto& agg : op->aggs) {
-        os << ", " << agg.name << "=" << agg.monoid << '(' << agg.expr->ToString()
-           << ')';
-      }
-      if (op->having) os << ", having " << op->having->ToString();
-      os << "]\n";
-      break;
-    }
-  }
+  os << op->Headline() << '\n';
   if (op->input) Print(op->input, indent + 1, os);
   if (op->right) Print(op->right, indent + 1, os);
 }
 }  // namespace
+
+std::string AlgOp::Headline() const {
+  std::ostringstream os;
+  os << AlgKindName(kind);
+  switch (kind) {
+    case AlgKind::kScan:
+      os << '(' << table << " as " << var << ')';
+      break;
+    case AlgKind::kSelect:
+      os << '[' << pred->ToString() << ']';
+      break;
+    case AlgKind::kJoin:
+    case AlgKind::kOuterJoin:
+      os << '[';
+      if (left_key) {
+        os << left_key->ToString() << " = " << right_key->ToString();
+        if (pred) os << " && " << pred->ToString();
+      } else if (pred) {
+        os << pred->ToString();
+      } else {
+        os << "true";
+      }
+      os << ']';
+      break;
+    case AlgKind::kUnnest:
+    case AlgKind::kOuterUnnest:
+      os << '[' << path_var << " <- " << path->ToString() << ']';
+      break;
+    case AlgKind::kReduce:
+      os << '[' << monoid << " / " << head->ToString() << ']';
+      break;
+    case AlgKind::kNest:
+      os << "[by " << AlgoName(group.algo) << '(' << group.term->ToString() << ')';
+      for (const auto& agg : aggs) {
+        os << ", " << agg.name << "=" << agg.monoid << '(' << agg.expr->ToString()
+           << ')';
+      }
+      if (having) os << ", having " << having->ToString();
+      os << ']';
+      break;
+    case AlgKind::kProject:
+      os << '[';
+      for (size_t i = 0; i < columns.size(); i++) {
+        if (i) os << ", ";
+        os << columns[i].name << "=" << columns[i].from;
+      }
+      os << ']';
+      break;
+  }
+  return os.str();
+}
 
 std::string AlgOp::ToString() const {
   std::ostringstream os;
@@ -161,6 +174,23 @@ AlgOpPtr NestOp(AlgOpPtr input, GroupSpec group, std::vector<NestAgg> aggs,
   return op;
 }
 
+AlgOpPtr ProjectOp(AlgOpPtr input, std::vector<ProjectColumn> columns) {
+  auto op = Make(AlgKind::kProject);
+  op->input = std::move(input);
+  op->columns = std::move(columns);
+  return op;
+}
+
+Value ProjectTuple(const Value& tuple, const std::vector<ProjectColumn>& columns) {
+  ValueStruct out;
+  out.reserve(columns.size());
+  for (const auto& c : columns) {
+    auto field = tuple.GetField(c.from);
+    out.emplace_back(c.name, field.ok() ? field.MoveValue() : Value::Null());
+  }
+  return Value(std::move(out));
+}
+
 bool AlgEquals(const AlgOpPtr& a, const AlgOpPtr& b) {
   if (a == b) return true;
   if (!a || !b) return false;
@@ -184,6 +214,13 @@ bool AlgEquals(const AlgOpPtr& a, const AlgOpPtr& b) {
     }
   }
   if (!ExprEquals(a->having, b->having) || a->key_name != b->key_name) return false;
+  if (a->columns.size() != b->columns.size()) return false;
+  for (size_t i = 0; i < a->columns.size(); i++) {
+    if (a->columns[i].name != b->columns[i].name ||
+        a->columns[i].from != b->columns[i].from) {
+      return false;
+    }
+  }
   return AlgEquals(a->input, b->input) && AlgEquals(a->right, b->right);
 }
 

@@ -11,6 +11,9 @@
 //   OuterJoin ⟕p    left outer join (null-extends unmatched left tuples)
 //   Unnest   μ      iterates a nested collection field, binding its elements
 //   OuterUnnest μ̄   like Unnest but keeps tuples with empty collections
+//   Project  π      renames and drops tuple fields (the coalescing rewrite
+//                   uses it to give each consumer of a shared Nest its own
+//                   output fields back)
 //   Reduce   Δ⊕/e   folds e over the input with monoid ⊕ (the final output)
 //   Nest     Γ⊕/e/f groups by f and folds one or more aggregations per
 //                   group; `having` filters groups. The grouping key can be
@@ -43,6 +46,7 @@ enum class AlgKind {
   kOuterUnnest,
   kReduce,
   kNest,
+  kProject,
 };
 
 const char* AlgKindName(AlgKind kind);
@@ -68,6 +72,13 @@ struct NestAgg {
   std::string name;
   std::string monoid;
   ExprPtr expr;
+};
+
+/// One output field of a Project: `name` takes the value of the input
+/// tuple's field `from`.
+struct ProjectColumn {
+  std::string name;
+  std::string from;
 };
 
 struct AlgOp;
@@ -104,6 +115,12 @@ struct AlgOp {
   ExprPtr having;               ///< over {key, <agg names>}; may be null
   std::string key_name = "key";
 
+  // kProject: the output tuple's fields, in order.
+  std::vector<ProjectColumn> columns;
+
+  /// One-line rendering of this operator alone, e.g. `Select[p]`.
+  std::string Headline() const;
+  /// The whole plan tree, one Headline per line, children indented.
   std::string ToString() const;
 };
 
@@ -117,6 +134,12 @@ AlgOpPtr UnnestOp(AlgOpPtr input, ExprPtr path, std::string path_var, bool outer
 AlgOpPtr ReduceOp(AlgOpPtr input, std::string monoid, ExprPtr head);
 AlgOpPtr NestOp(AlgOpPtr input, GroupSpec group, std::vector<NestAgg> aggs,
                 ExprPtr having = nullptr, std::string key_name = "key");
+AlgOpPtr ProjectOp(AlgOpPtr input, std::vector<ProjectColumn> columns);
+
+/// A Project's semantics, shared by every evaluator: the struct
+/// {c.name: tuple.c.from} over `columns` in order (a missing input field
+/// projects to null).
+Value ProjectTuple(const Value& tuple, const std::vector<ProjectColumn>& columns);
 
 /// Deep structural equality of plans (used by the rewriter to detect
 /// shareable sub-plans).

@@ -34,6 +34,9 @@ std::vector<std::string> CollectVars(const AlgOpPtr& plan) {
       vars.push_back(plan->path_var);
       return vars;
     }
+    case AlgKind::kProject:
+      for (const auto& c : plan->columns) vars.push_back(c.name);
+      return vars;
     case AlgKind::kJoin:
     case AlgKind::kOuterJoin: {
       vars = CollectVars(plan->input);
@@ -272,6 +275,13 @@ Result<std::vector<Value>> Eval(const AlgOpPtr& plan, const Catalog& catalog,
         }
         out.push_back(std::move(result));
       }
+      return out;
+    }
+    case AlgKind::kProject: {
+      CLEANM_ASSIGN_OR_RETURN(std::vector<Value> in, Eval(plan->input, catalog, ctx));
+      std::vector<Value> out;
+      out.reserve(in.size());
+      for (const auto& tuple : in) out.push_back(ProjectTuple(tuple, plan->columns));
       return out;
     }
     case AlgKind::kReduce:

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "algebra/algebra_eval.h"
@@ -119,12 +120,12 @@ bool SameGroup(const GroupSpec& a, const GroupSpec& b) {
 }
 
 /// Walks from a root through unary Select/Unnest/Reduce nodes to a Nest;
-/// records the pipeline outer-to-inner so it can be rebuilt over the shared
+/// records the chain outer-to-inner so it can be rebuilt over the shared
 /// node. Reduce appears here since user GROUP BY queries project their
 /// group tuples through a Reduce root (see cleaning/select_builder.cc), and
 /// their Nest stage must still coalesce with the built-in cleaning plans.
 struct NestAccess {
-  std::vector<AlgOpPtr> pipeline;  // Select/Unnest/Reduce nodes, outermost first
+  std::vector<AlgOpPtr> chain;  // Select/Unnest/Reduce nodes, outermost first
   AlgOpPtr nest;
 };
 
@@ -133,7 +134,7 @@ NestAccess FindNest(const AlgOpPtr& root) {
   AlgOpPtr cur = root;
   while (cur && (cur->kind == AlgKind::kSelect || cur->kind == AlgKind::kUnnest ||
                  cur->kind == AlgKind::kOuterUnnest || cur->kind == AlgKind::kReduce)) {
-    access.pipeline.push_back(cur);
+    access.chain.push_back(cur);
     cur = cur->input;
   }
   if (cur && cur->kind == AlgKind::kNest) access.nest = cur;
@@ -163,6 +164,14 @@ CoalescedPlans CoalesceNests(const std::vector<AlgOpPtr>& plans, RewriteStats* s
     std::vector<std::pair<NestAgg, std::string>> adopted;
   };
   std::vector<SharedNest> shared;
+  // Per Nest-rooted plan: its access path, its shared Nest, and its
+  // aggregation names → merged names.
+  struct Adoption {
+    NestAccess access;
+    size_t target = 0;
+    std::map<std::string, std::string> rename;
+  };
+  std::vector<std::optional<Adoption>> adoptions(plans.size());
 
   for (size_t i = 0; i < plans.size(); i++) {
     NestAccess access = FindNest(plans[i]);
@@ -171,31 +180,33 @@ CoalescedPlans CoalesceNests(const std::vector<AlgOpPtr>& plans, RewriteStats* s
       continue;
     }
     // Find or create the shared nest for this signature.
-    SharedNest* target = nullptr;
-    for (auto& s : shared) {
-      if (AlgEquals(s.node->input, access.nest->input) &&
-          SameGroup(s.node->group, access.nest->group) &&
-          s.node->key_name == access.nest->key_name) {
-        target = &s;
+    size_t target = shared.size();
+    for (size_t s = 0; s < shared.size(); s++) {
+      if (AlgEquals(shared[s].node->input, access.nest->input) &&
+          SameGroup(shared[s].node->group, access.nest->group) &&
+          shared[s].node->key_name == access.nest->key_name) {
+        target = s;
         break;
       }
     }
-    bool merged_into_existing = target != nullptr;
-    if (!target) {
+    if (target == shared.size()) {
       SharedNest fresh;
       fresh.node = std::make_shared<AlgOp>(*access.nest);
       fresh.node->aggs.clear();
       fresh.node->having = nullptr;
       shared.push_back(std::move(fresh));
-      target = &shared.back();
+    } else {
+      result.groups_merged++;
+      if (stats) stats->nests_coalesced++;
     }
+    SharedNest& nest = shared[target];
 
     // Adopt this plan's aggregations, de-duplicating structurally equal
     // ones and renaming on name collisions.
-    std::map<std::string, std::string> rename;  // original name → merged name
+    Adoption adoption{access, target, {}};
     for (const auto& agg : access.nest->aggs) {
       std::string merged_name;
-      for (const auto& [existing, name] : target->adopted) {
+      for (const auto& [existing, name] : nest.adopted) {
         if (existing.monoid == agg.monoid && ExprEquals(existing.expr, agg.expr)) {
           merged_name = name;
           break;
@@ -207,7 +218,7 @@ CoalescedPlans CoalesceNests(const std::vector<AlgOpPtr>& plans, RewriteStats* s
         int suffix = 0;
         while (taken) {
           taken = false;
-          for (const auto& existing : target->node->aggs) {
+          for (const auto& existing : nest.node->aggs) {
             if (existing.name == merged_name) {
               taken = true;
               merged_name = agg.name + "_" + std::to_string(++suffix);
@@ -215,39 +226,49 @@ CoalescedPlans CoalesceNests(const std::vector<AlgOpPtr>& plans, RewriteStats* s
             }
           }
         }
-        target->node->aggs.push_back({merged_name, agg.monoid, agg.expr});
-        target->adopted.push_back({agg, merged_name});
+        nest.node->aggs.push_back({merged_name, agg.monoid, agg.expr});
+        nest.adopted.push_back({agg, merged_name});
       }
-      rename[agg.name] = merged_name;
+      adoption.rename[agg.name] = merged_name;
     }
+    adoptions[i] = std::move(adoption);
+  }
 
-    auto rename_expr = [&rename](ExprPtr e) {
-      for (const auto& [from, to] : rename) {
-        if (from != to) e = Substitute(e, from, Var(to));
+  // Rebuild each plan's private chain above its shared nest, now that
+  // every shared nest carries its final aggregation list: the plan's having
+  // becomes a Select over the merged names; then, unless the shared nest's
+  // output is exactly the plan's own, a Project maps the merged names back
+  // and drops the other plans' aggregations, so the original Select /
+  // Unnest chain runs unchanged and emits field for field what the
+  // standalone plan emits.
+  for (size_t i = 0; i < plans.size(); i++) {
+    if (!adoptions[i]) continue;
+    const Adoption& a = *adoptions[i];
+    const AlgOp& own = *a.access.nest;
+    const AlgOpPtr& merged = shared[a.target].node;
+    AlgOpPtr rebuilt = merged;
+    if (own.having) {
+      ExprPtr having = own.having;
+      for (const auto& [from, to] : a.rename) {
+        if (from != to) having = Substitute(having, from, Var(to));
       }
-      return e;
-    };
-
-    // Rebuild this plan's private pipeline above the shared nest: its
-    // having becomes a Select, then its original Select/Unnest chain with
-    // aggregation references renamed to the merged names.
-    AlgOpPtr rebuilt = target->node;
-    if (access.nest->having) {
-      rebuilt = SelectOp(rebuilt, rename_expr(access.nest->having));
+      rebuilt = SelectOp(rebuilt, having);
     }
-    for (auto it = access.pipeline.rbegin(); it != access.pipeline.rend(); ++it) {
+    bool same_fields = merged->aggs.size() == own.aggs.size();
+    std::vector<ProjectColumn> columns{{own.key_name, own.key_name}};
+    for (size_t k = 0; k < own.aggs.size(); k++) {
+      const std::string& from = a.rename.at(own.aggs[k].name);
+      columns.push_back({own.aggs[k].name, from});
+      same_fields = same_fields && from == own.aggs[k].name &&
+                    merged->aggs[k].name == from;
+    }
+    if (!same_fields) rebuilt = ProjectOp(rebuilt, std::move(columns));
+    for (auto it = a.access.chain.rbegin(); it != a.access.chain.rend(); ++it) {
       auto stage = std::make_shared<AlgOp>(**it);
       stage->input = rebuilt;
-      if (stage->pred) stage->pred = rename_expr(stage->pred);
-      if (stage->path) stage->path = rename_expr(stage->path);
-      if (stage->head) stage->head = rename_expr(stage->head);
       rebuilt = stage;
     }
     result.roots[i] = rebuilt;
-    if (merged_into_existing) {
-      result.groups_merged++;
-      if (stats) stats->nests_coalesced++;
-    }
   }
   return result;
 }

@@ -10,7 +10,9 @@
 //   A4  Two Nest plans over structurally identical inputs with identical
 //       GroupSpecs merge into one Nest computing the union of their
 //       aggregations; each original consumer becomes a Select applying its
-//       own `having` over the merged output. One grouping pass instead of N.
+//       own `having` over the merged output, then a Project restoring its
+//       own output fields. One grouping pass instead of N, and each
+//       consumer's output is field for field its standalone plan's.
 //
 // Shared-scan detection (the DAG of Figure 1's overall plan) is also
 // reported here; the physical layer uses it to scan each table once.
@@ -45,7 +47,9 @@ struct CoalescedPlans {
 /// Coalesces the Nest stages of multiple plans belonging to one query.
 /// Plans whose Nest inputs and group specs match (structurally) are rewired
 /// onto one shared Nest carrying the union of the aggregations; each root
-/// keeps its own `having` as a Select above the shared node.
+/// keeps its own `having` as a Select above the shared node, followed by a
+/// Project back to its own field names (key plus its own aggregations, in
+/// its order) whenever the shared Nest's output differs from them.
 CoalescedPlans CoalesceNests(const std::vector<AlgOpPtr>& plans,
                              RewriteStats* stats = nullptr);
 

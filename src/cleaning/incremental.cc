@@ -19,6 +19,7 @@ struct ChainStage {
   std::function<bool(const Value&)> pred;  ///< kSelect
   CompiledExpr path;                       ///< kUnnest / kOuterUnnest
   std::string var;
+  std::vector<ProjectColumn> columns;      ///< kProject
 };
 
 struct RootWork {
@@ -50,6 +51,7 @@ bool AnalyzeRoot(const AlgOpPtr& root, std::vector<const AlgOp*>* chain,
       case AlgKind::kSelect:
       case AlgKind::kUnnest:
       case AlgKind::kOuterUnnest:
+      case AlgKind::kProject:
         chain->push_back(cur.get());
         cur = cur->input;
         continue;
@@ -77,6 +79,8 @@ Result<std::vector<ChainStage>> CompileChainStages(
     s.kind = node->kind;
     if (node->kind == AlgKind::kSelect) {
       CLEANM_ASSIGN_OR_RETURN(s.pred, CompilePredicate(node->pred, layout, exec.Env()));
+    } else if (node->kind == AlgKind::kProject) {
+      s.columns = node->columns;
     } else {
       CLEANM_ASSIGN_OR_RETURN(s.path, CompileExpr(node->path, layout, exec.Env()));
       s.var = node->path_var;
@@ -87,8 +91,8 @@ Result<std::vector<ChainStage>> CompileChainStages(
 }
 
 /// Applies the compiled chain to one tuple, collecting the produced tuples.
-/// Select filtering and (Outer)Unnest padding mirror the physical executor
-/// exactly (planner.cc kUnnest / pipeline.cc CompileChain): null or empty
+/// Select filtering, Project, and (Outer)Unnest padding mirror the physical
+/// executor exactly (pipeline.cc CompileChain): null or empty
 /// list pads Null only under OuterUnnest, a non-list scalar behaves as a
 /// singleton, a list iterates.
 void ApplyChain(const std::vector<ChainStage>& stages, size_t i, const Value& tuple,
@@ -100,6 +104,10 @@ void ApplyChain(const std::vector<ChainStage>& stages, size_t i, const Value& tu
   const ChainStage& s = stages[i];
   if (s.kind == AlgKind::kSelect) {
     if (s.pred(tuple)) ApplyChain(stages, i + 1, tuple, out);
+    return;
+  }
+  if (s.kind == AlgKind::kProject) {
+    ApplyChain(stages, i + 1, ProjectTuple(tuple, s.columns), out);
     return;
   }
   const bool outer = s.kind == AlgKind::kOuterUnnest;

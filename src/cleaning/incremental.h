@@ -3,8 +3,8 @@
 // generations without re-running the engine.
 //
 // Eligibility is structural and all-or-nothing per prepared query: every
-// active plan root must peel — through Select / Unnest / OuterUnnest
-// transforms only — down to an exact-key Nest whose input is directly a
+// active plan root must peel — through Select / Unnest / OuterUnnest /
+// Project transforms only — down to an exact-key Nest whose input is directly a
 // Scan (the FD / DEDUP / user-GROUP-BY shapes, standalone or coalesced).
 // Join-rooted plans (denial constraints, CLUSTER BY), Reduce roots, and
 // grouping-monoid Nests (token filtering / k-means redistribute rows across

@@ -372,63 +372,6 @@ Result<PreparedQuery> CleanDB::PrepareDenialConstraint(const std::string& table,
 
 // ---- EXPLAIN ----
 
-namespace {
-
-const char* ExplainAlgoName(FilteringAlgo algo) {
-  switch (algo) {
-    case FilteringAlgo::kTokenFiltering: return "tf";
-    case FilteringAlgo::kKMeans: return "kmeans";
-    case FilteringAlgo::kExactKey: return "exact";
-  }
-  return "?";
-}
-
-/// One-line operator headline, same notation as AlgOp::ToString().
-std::string ExplainHeadline(const AlgOp& op) {
-  std::string out = AlgKindName(op.kind);
-  switch (op.kind) {
-    case AlgKind::kScan:
-      out += '(' + op.table + " as " + op.var + ')';
-      break;
-    case AlgKind::kSelect:
-      out += '[' + op.pred->ToString() + ']';
-      break;
-    case AlgKind::kJoin:
-    case AlgKind::kOuterJoin:
-      out += '[';
-      if (op.left_key) {
-        out += op.left_key->ToString() + " = " + op.right_key->ToString();
-        if (op.pred) out += " && " + op.pred->ToString();
-      } else if (op.pred) {
-        out += op.pred->ToString();
-      } else {
-        out += "true";
-      }
-      out += ']';
-      break;
-    case AlgKind::kUnnest:
-    case AlgKind::kOuterUnnest:
-      out += '[' + op.path_var + " <- " + op.path->ToString() + ']';
-      break;
-    case AlgKind::kReduce:
-      out += '[' + op.monoid + " / " + op.head->ToString() + ']';
-      break;
-    case AlgKind::kNest: {
-      out += std::string("[by ") + ExplainAlgoName(op.group.algo) + '(' +
-             op.group.term->ToString() + ')';
-      for (const auto& agg : op.aggs) {
-        out += ", " + agg.name + "=" + agg.monoid + '(' + agg.expr->ToString() + ')';
-      }
-      if (op.having) out += ", having " + op.having->ToString();
-      out += ']';
-      break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string PreparedQuery::Explain(const ExecOptions& opts) const {
   if (!status_.ok()) return "<unprepared query: " + status_.message() + ">";
   const bool unify =
@@ -467,7 +410,7 @@ std::string PreparedQuery::Explain(const ExecOptions& opts) const {
       out += "<null>\n";
       return;
     }
-    out += ExplainHeadline(*op);
+    out += op->Headline();
     bool first_visit = true;
     if (uses[op.get()] > 1) {
       auto [it, inserted] = shared_id.emplace(op.get(), next_shared);
@@ -650,7 +593,6 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   };
   std::unordered_map<Value, std::vector<std::string>, ValueHash, ValueEq> entities;
 
-  const bool pipeline = knobs.pipeline;
   const size_t morsel_rows = std::max<size_t>(1, knobs.morsel_rows);
 
   // The engine propagates worker failures as exceptions (see
@@ -707,7 +649,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
       return Status::OK();
     };
 
-    if (pipeline && root->kind != AlgKind::kReduce) {
+    if (root->kind != AlgKind::kReduce) {
       // Operator-level pipelining below the sink: violations reach the
       // sink as each morsel completes, so a sink error (early abort) stops
       // the plan mid-morsel and no whole operator output is ever
@@ -722,14 +664,8 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
     } else {
       // Reduce roots fold to one value (the query's actual result — e.g. a
       // user GROUP BY projection), so the pipelined gain is on the input
-      // side only; the materialize-first baseline takes this branch for
-      // every root kind.
-      Value out;
-      if (pipeline) {
-        CLEANM_ASSIGN_OR_RETURN(out, exec.RunToValuePipelined(root, morsel_rows));
-      } else {
-        CLEANM_ASSIGN_OR_RETURN(out, exec.RunToValue(root));
-      }
+      // side only.
+      CLEANM_ASSIGN_OR_RETURN(Value out, exec.RunToValue(root, morsel_rows));
       for (const auto& v : out.AsList()) {
         CLEANM_RETURN_NOT_OK(emit_violation(v));
       }

@@ -37,13 +37,12 @@ namespace cleanm {
 //   peak_bytes_materialized — high-water mark of *logical* bytes
 //     (RowByteSize, the same accounting the shuffle meter and the partition
 //     cache use) held in transient operator-output buffers at any instant of
-//     the execution: whole materialized operator outputs on the
-//     materialize-first path, in-flight morsels on the pipelined path.
+//     the execution: in-flight morsels, breaker outputs a pipeline segment
+//     owns (join inputs/outputs), and the driver-side result list.
 //     Cache-resident partitionings (scans, shared Nest outputs) and
 //     breaker-internal state (aggregation hash tables, shuffle buffers) are
-//     identical on both paths and excluded.
-//   morsels_processed — morsels flushed through the pipelined execution path
-//     (0 on the materialize-first path).
+//     excluded.
+//   morsels_processed — morsels flushed through the pipelined execution.
 //   tasks_failed — task attempts that failed with an (injected)
 //     node-unavailable fault.
 //   tasks_retried — failed task attempts that were retried (per-node

@@ -30,10 +30,39 @@ Cluster::Cluster(ClusterOptions options)
     : options_(options), active_nodes_(options.num_nodes) {
   CLEANM_CHECK(options_.num_nodes > 0);
   CLEANM_CHECK(options_.shuffle_batch_rows > 0);
-  if (options_.use_worker_pool) {
-    pool_ = std::make_unique<WorkerPool>(options_.num_nodes);
-  }
+  lanes_.push_back(std::make_unique<WorkerPool>(options_.num_nodes));
+  idle_lanes_.push_back(lanes_.back().get());
   fault_ = std::make_unique<FaultInjector>(options_.num_nodes, options_.fault);
+}
+
+Cluster::LaneLease::LaneLease(const Cluster& cluster) : cluster_(cluster) {
+  std::unique_lock<std::mutex> lock(cluster.lanes_mu_);
+  for (const auto& lane : cluster.lanes_) {
+    if (lane->OnWorkerThread()) {
+      lane_ = lane.get();
+      nested_ = true;
+      return;
+    }
+  }
+  if (!cluster.idle_lanes_.empty()) {
+    lane_ = cluster.idle_lanes_.back();
+    cluster.idle_lanes_.pop_back();
+    return;
+  }
+  // Every lane is busy: start a new one outside the lock. It joins the free
+  // list when this lease ends, so the number of lanes tracks the peak
+  // number of concurrent engine calls, not the number of calls.
+  lock.unlock();
+  auto fresh = std::make_unique<WorkerPool>(cluster.options_.num_nodes);
+  lane_ = fresh.get();
+  lock.lock();
+  cluster.lanes_.push_back(std::move(fresh));
+}
+
+Cluster::LaneLease::~LaneLease() {
+  if (nested_) return;
+  std::lock_guard<std::mutex> lock(cluster_.lanes_mu_);
+  cluster_.idle_lanes_.push_back(lane_);
 }
 
 void Cluster::SetFaultOptions(const FaultOptions& options) {
@@ -110,10 +139,9 @@ void Cluster::SetShuffleBatchRows(size_t rows) {
 
 void Cluster::RunOnNodes(const std::function<void(size_t)>& fn) const {
   const size_t active = active_nodes_;
-  // Workers (and legacy spawned threads) run the dispatching driver's
-  // closures, so they must charge that driver's per-execution metrics (and
-  // observe its cancellation sources), not whatever the worker thread last
-  // saw.
+  // Lane workers run the dispatching driver's closures, so they must charge
+  // that driver's per-execution metrics (and observe its cancellation
+  // sources), not whatever the worker thread last saw.
   QueryMetrics* driver_metrics = MetricsScope::Current();
   const ExecControl* driver_control = ExecControlScope::Current();
   // Like the metrics/control scopes, tracing context propagates explicitly:
@@ -130,39 +158,10 @@ void Cluster::RunOnNodes(const std::function<void(size_t)>& fn) const {
     TraceScope task_span("cluster", "task", nullptr, static_cast<int>(n));
     if (n < active) RunWithFaults(n, fn);
   };
-  if (pool_ && (pool_->OnWorkerThread() || pool_->TryAcquireDriver())) {
-    // On a worker thread this is a nested dispatch (runs inline inside
-    // Run); otherwise this session just became the pool's driver.
-    pool_->Run(task);
-    return;
-  }
-  // Spawn-per-call: one fresh thread per node per operator call. Two users:
-  //  * the legacy execution model (use_worker_pool = false), kept as the
-  //    A/B baseline for the dispatch-latency microbenchmark and CI gate;
-  //  * a driver session that lost the pool to another session. Spawning
-  //    (instead of queueing behind the owner, or running the node loop
-  //    sequentially inline) keeps concurrent sessions independent AND keeps
-  //    their per-node work parallel — without it, each non-owner execution
-  //    serializes its own simulated-network sleeps and the sessions gain
-  //    nothing from overlapping. Engine operators are deterministic under
-  //    any node scheduling, so results are identical on either substrate.
-  // Exceptions propagate to the caller, matching the pool's contract.
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  std::vector<std::thread> workers;
-  workers.reserve(active);
-  for (size_t n = 0; n < active; n++) {
-    workers.emplace_back([&task, &error_mu, &first_error, n] {
-      try {
-        task(n);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // A nested call (made from one of our lane's workers) runs inline inside
+  // Run; otherwise the leased lane is this call's alone.
+  LaneLease lease(*this);
+  lease.lane().Run(task);
 }
 
 uint64_t PartitionLogicalBytes(const Partition& rows) {
@@ -238,14 +237,6 @@ Partitioned Cluster::FlatMap(
   RunOnNodes([&](size_t n) {
     for (const auto& row : in[n]) fn(row, &out[n]);
   });
-  return out;
-}
-
-Partitioned Cluster::MapPartitions(
-    const Partitioned& in,
-    const std::function<Partition(size_t, const Partition&)>& fn) const {
-  Partitioned out(in.size());
-  RunOnNodes([&](size_t n) { out[n] = fn(n, in[n]); });
   return out;
 }
 

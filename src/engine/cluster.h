@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/metrics.h"
@@ -89,10 +90,6 @@ struct ClusterOptions {
   /// Fixed simulated latency charged per flushed remote batch (on top of
   /// the per-byte cost) — the "per-message" term of a real interconnect.
   double shuffle_ns_per_batch = 0.0;
-  /// When true (default), operator calls dispatch onto a persistent worker
-  /// pool owned by the Cluster. When false, every call spawns and joins
-  /// fresh threads — the pre-pool behavior, kept for A/B benchmarking.
-  bool use_worker_pool = true;
   /// Deterministic fault injection + retry/blacklist knobs (off by
   /// default). See engine/fault.h.
   FaultOptions fault;
@@ -100,11 +97,15 @@ struct ClusterOptions {
 
 /// \brief N-node virtual cluster. All engine operators run through it.
 ///
-/// Thread model: the cluster owns one persistent worker thread per node
-/// (see WorkerPool); every operator call dispatches one task epoch and
-/// blocks on its completion latch. Shuffles accumulate outgoing rows into
-/// per-destination batches, charge the simulated network cost per flushed
-/// batch, and destinations splice whole batches via std::move.
+/// Thread model: the cluster keeps a free list of worker *lanes*, each a
+/// WorkerPool of one persistent thread per node. Every operator call checks
+/// out an idle lane (creating one when all are busy; lanes live as long as
+/// the Cluster), dispatches one task epoch on it, blocks on its completion
+/// latch, and returns the lane. Concurrent drivers therefore run on
+/// separate lanes, and a call made from a lane's own worker runs inline on
+/// that lane. Shuffles accumulate outgoing rows into per-destination
+/// batches, charge the simulated network cost per flushed batch, and
+/// destinations splice whole batches via std::move.
 class Cluster {
  public:
   explicit Cluster(ClusterOptions options = {});
@@ -186,11 +187,6 @@ class Cluster {
   Partitioned FlatMap(const Partitioned& in,
                       const std::function<void(const Row&, Partition*)>& fn) const;
 
-  /// mapPartitions: the function sees a whole node-local partition at once.
-  Partitioned MapPartitions(
-      const Partitioned& in,
-      const std::function<Partition(size_t node, const Partition&)>& fn) const;
-
   // ---- Wide dependencies (shuffle; metered + charged) ----
 
   /// Routes every row to the node chosen by `route(row) % num_nodes`.
@@ -207,7 +203,7 @@ class Cluster {
   // ---- Morsel-driven pipelining (operator-level streaming) ----
   //
   // Both pumps stream `source` through `expand` in fixed-size morsels on
-  // the persistent workers instead of materializing a whole transformed
+  // a worker lane instead of materializing a whole transformed
   // Partitioned. They meter morsels_processed and charge each in-flight
   // morsel's logical bytes to the peak_bytes_materialized gauge.
 
@@ -236,10 +232,34 @@ class Cluster {
   /// Nodes participating in execution (≤ options_.num_nodes).
   size_t active_nodes_;
   mutable QueryMetrics metrics_;
-  /// Lives for the Cluster's lifetime; null when use_worker_pool is false.
-  mutable std::unique_ptr<WorkerPool> pool_;
+  /// Every lane ever created (kept for the Cluster's lifetime) and the ones
+  /// not checked out right now.
+  mutable std::mutex lanes_mu_;
+  mutable std::vector<std::unique_ptr<WorkerPool>> lanes_;
+  mutable std::vector<WorkerPool*> idle_lanes_;
   /// Seeded fault state; always constructed (injection disabled by default).
   mutable std::unique_ptr<FaultInjector> fault_;
+
+  /// RAII checkout of a lane for one RunOnNodes / pump call. On one of this
+  /// cluster's lane workers (an operator nested in a task) it keeps that
+  /// lane, and the call runs inline; otherwise it takes an idle lane,
+  /// creating one when every lane is busy, and returns it on destruction.
+  class LaneLease {
+   public:
+    explicit LaneLease(const Cluster& cluster);
+    ~LaneLease();
+    LaneLease(const LaneLease&) = delete;
+    LaneLease& operator=(const LaneLease&) = delete;
+
+    WorkerPool& lane() const { return *lane_; }
+    /// True when the caller is one of the leased lane's own workers.
+    bool nested() const { return nested_; }
+
+   private:
+    const Cluster& cluster_;
+    WorkerPool* lane_ = nullptr;
+    bool nested_ = false;
+  };
 
   /// One node's task attempt loop: ExecControl check, fault injection,
   /// retry with capped exponential backoff, blacklist bookkeeping. Runs

@@ -1,26 +1,26 @@
-// Pipelined (morsel-driven) execution of physical plans.
+// Execution of physical plans: morsel-driven pipelines.
 //
-// The materialize-first path (planner.cc) produces every operator's whole
-// output as a Partitioned before its consumer runs, so peak memory scales
-// with the largest intermediate — for cleaning plans, the keyed Nest
-// expansion or an Unnest pair blow-up, i.e. the dirtiest table, not the
-// result. This file implements the streaming alternative:
+// Materializing every operator's whole output before its consumer runs
+// would make peak memory scale with the largest intermediate — for
+// cleaning plans, the keyed Nest expansion or an Unnest pair blow-up, i.e.
+// the dirtiest table, not the result. Plans therefore stream:
 //
 //   MorselSource → Transform* → SinkDriver
 //
-// A plan decomposes from the root downward: Select / Unnest stages compose
-// into one per-row expansion (no intermediate buffers at all), and the walk
-// stops at a pipeline *breaker* — Scan (resident in the session cache),
-// Nest (aggregation; consumes its own input morsel-wise via
-// engine::MorselAggregator, so even the keyed expansion never
-// materializes), Join (shuffle-backed; its inputs and output materialize as
-// breaker state, but stream onward). Morsels of ExecOptions::morsel_rows
-// rows then flow across the persistent WorkerPool to the consumer
+// A plan decomposes from the root downward: Select / Unnest / Project
+// stages compose into one per-row expansion (no intermediate buffers at
+// all), and the walk stops at a pipeline *breaker* — Scan (resident in the
+// session cache), Nest (aggregation; consumes its own input morsel-wise
+// via engine::MorselAggregator, so even the keyed expansion never
+// materializes), Join (shuffle-backed; its inputs and output materialize
+// as breaker state, but stream onward). Morsels of ExecOptions::morsel_rows
+// rows then flow across a worker lane to the consumer
 // (engine::Cluster::PumpToDriver / PumpOnWorkers).
 //
 // Equivalence contract (CI-gated): per-node row order, per-node fold order,
-// and node-major delivery all match the materializing path, so violation
-// sets are bit-identical between ExecOptions::pipeline = true and false.
+// and node-major delivery do not depend on the morsel size, so violation
+// sets are bit-identical at any ExecOptions::morsel_rows, and they match
+// the reference evaluator (algebra_eval.h) up to ordering.
 #include <atomic>
 
 #include "algebra/algebra_eval.h"
@@ -46,7 +46,8 @@ using TupleCont = Executor::TupleSink;
 /// Composes the root-first transform chain into a single per-row expansion:
 /// data flows source → chain.back() → ... → chain.front() → terminal, so
 /// the continuation is built from the top down. Select filters; Unnest
-/// expands with the exact padding/branching of the materializing executor.
+/// expands with the padding/branching of the reference evaluator; Project
+/// rebuilds the tuple from its columns.
 Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain,
                                           const std::vector<AlgOpPtr>& chain_inputs,
                                           const CompileEnv& env, TupleCont terminal) {
@@ -64,6 +65,11 @@ Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain
       CLEANM_ASSIGN_OR_RETURN(auto pred, CompilePredicate(op->pred, layout, env));
       k = [pred, inner](Value t, Partition* out) {
         if (pred(t)) inner(std::move(t), out);
+      };
+    } else if (op->kind == AlgKind::kProject) {
+      const std::vector<ProjectColumn> columns = op->columns;
+      k = [columns, inner](Value t, Partition* out) {
+        inner(ProjectTuple(t, columns), out);
       };
     } else {  // kUnnest / kOuterUnnest
       CLEANM_ASSIGN_OR_RETURN(CompiledExpr path, CompileExpr(op->path, layout, env));
@@ -97,7 +103,7 @@ Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain
 
 bool IsTransform(AlgKind kind) {
   return kind == AlgKind::kSelect || kind == AlgKind::kUnnest ||
-         kind == AlgKind::kOuterUnnest;
+         kind == AlgKind::kOuterUnnest || kind == AlgKind::kProject;
 }
 
 /// Wraps a segment's per-row expansion with the poison-row quarantine: a
@@ -250,8 +256,8 @@ Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
   // rows through the segment's transforms *fused with* the keyed expansion
   // (passed as the chain's terminal continuation, so no per-row
   // intermediate buffer exists), then folds the (key, tuple) pairs
-  // straight into node-local aggregation state — the keyed Partitioned of
-  // the materializing path never exists.
+  // straight into node-local aggregation state — no keyed Partitioned
+  // ever exists.
   auto nest_expand = compiled.expand;
   CLEANM_ASSIGN_OR_RETURN(
       PipelineSegment seg,
@@ -380,11 +386,11 @@ Status Executor::RunPipelined(
     const std::function<Status(size_t node, engine::Partition&&)>& consume) {
   if (!plan) return Status::Internal("null physical plan");
   if (plan->kind == AlgKind::kReduce) {
-    return Status::InvalidArgument("Reduce root must go through RunToValuePipelined");
+    return Status::InvalidArgument("Reduce root must go through RunToValue");
   }
-  // The root operator span for the fused transform chain: Select/Unnest
-  // stages compile into the segment's expansion, so the chain's work (and
-  // counter movement) lands here rather than on per-stage spans.
+  // The root operator span for the fused transform chain: Select / Unnest /
+  // Project stages compile into the segment's expansion, so the chain's
+  // work (and counter movement) lands here rather than on per-stage spans.
   TraceScope op_span("operator", AlgKindName(plan->kind), plan.get(), -1,
                      &cluster->metrics());
   CLEANM_ASSIGN_OR_RETURN(PipelineSegment seg, BuildSegment(plan, morsel_rows));
@@ -394,7 +400,7 @@ Status Executor::RunPipelined(
   return cluster->PumpToDriver(seg.data(), spec, seg.expand, consume);
 }
 
-Result<Value> Executor::RunToValuePipelined(const AlgOpPtr& plan, size_t morsel_rows) {
+Result<Value> Executor::RunToValue(const AlgOpPtr& plan, size_t morsel_rows) {
   if (!plan) return Status::Internal("null physical plan");
   if (plan->kind != AlgKind::kReduce) {
     ValueList out;
@@ -407,9 +413,8 @@ Result<Value> Executor::RunToValuePipelined(const AlgOpPtr& plan, size_t morsel_
           }
           return Status::OK();
         }));
-    // The collected result is driver-side materialization, exactly as on
-    // the materializing RunToValue: fold it into the peak, then stop
-    // tracking (the returned Value is the caller's).
+    // The collected result is driver-side materialization: fold it into
+    // the peak, then stop tracking (the returned Value is the caller's).
     cluster->metrics().ChargeMaterialized(list_bytes);
     cluster->metrics().ReleaseMaterialized(list_bytes);
     return Value(std::move(out));
@@ -424,11 +429,11 @@ Result<Value> Executor::RunToValuePipelined(const AlgOpPtr& plan, size_t morsel_
   const TupleLayout layout = CollectVars(plan->input);
   CLEANM_ASSIGN_OR_RETURN(CompiledExpr head, CompileExpr(plan->head, layout, Env()));
 
-  // Morsel-fed per-node fold, merged on the driver — the same
-  // fold-then-merge shape (and order) as the materializing RunToValue.
-  // One *fresh* zero per node: Value copies share nested storage, so a
-  // vector(n, zero) fill would alias one accumulator across all nodes and
-  // every in-place fold would land in the same shared list.
+  // Morsel-fed per-node fold, merged on the driver in node order — legal
+  // for any monoid by associativity ("list" keeps node order
+  // deterministic). One *fresh* zero per node: Value copies share nested
+  // storage, so a vector(n, zero) fill would alias one accumulator across
+  // all nodes and every in-place fold would land in the same shared list.
   std::vector<Value> partials;
   partials.reserve(cluster->num_nodes());
   for (size_t n = 0; n < cluster->num_nodes(); n++) partials.push_back(monoid->zero());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/trace.h"
 #include "functions/function_registry.h"
 #include "monoid/monoid.h"
 #include "physical/tuple.h"
@@ -16,17 +15,6 @@ namespace {
 
 using engine::Partition;
 using engine::Partitioned;
-using engine::PartitionedLogicalBytes;
-
-/// Releases a tracked buffer's gauge charge when the owning scope ends
-/// (including error paths).
-struct GaugeRelease {
-  QueryMetrics* metrics;
-  uint64_t bytes = 0;
-  ~GaugeRelease() {
-    if (bytes) metrics->ReleaseMaterialized(bytes);
-  }
-};
 
 }  // namespace
 
@@ -319,219 +307,6 @@ Result<Executor::CompiledNest> Executor::CompileNestStage(const AlgOpPtr& plan) 
   };
   compiled.spec = std::move(spec);
   return compiled;
-}
-
-Result<engine::Partitioned> Executor::Run(const AlgOpPtr& plan) {
-  uint64_t bytes = 0;
-  Result<Partitioned> out = RunTracked(plan, &bytes);
-  // The caller owns the buffer now; this entry point stops tracking it
-  // (the peak already folded it in).
-  if (out.ok() && bytes) cluster->metrics().ReleaseMaterialized(bytes);
-  return out;
-}
-
-Result<engine::Partitioned> Executor::RunTracked(const AlgOpPtr& plan,
-                                                 uint64_t* out_bytes) {
-  *out_bytes = 0;
-  if (!plan) return Status::Internal("null physical plan");
-  if (!cache) return Status::Internal("Executor has no partition cache");
-  QueryMetrics& metrics = cluster->metrics();
-  // Operator span: driver-side and sequential (the recursion below runs on
-  // this thread), so the counter delta it captures nests exactly and the
-  // profile's self-time partitioning stays exact.
-  TraceScope op_span("operator", AlgKindName(plan->kind), plan.get(), -1,
-                     &metrics);
-  auto charge = [&metrics, out_bytes, &op_span](const Partitioned& data) {
-    *out_bytes = PartitionedLogicalBytes(data);
-    metrics.ChargeMaterialized(*out_bytes);
-    if (op_span.active()) {
-      op_span.SetRowsOut(engine::Cluster::TotalRows(data));
-      std::vector<uint64_t> node_rows;
-      node_rows.reserve(data.size());
-      for (const auto& p : data) node_rows.push_back(p.size());
-      op_span.SetNodeRows(std::move(node_rows));
-    }
-  };
-  switch (plan->kind) {
-    case AlgKind::kScan: {
-      CLEANM_ASSIGN_OR_RETURN(PartitionPin wrapped, WrappedScan(*plan));
-      // The materialize-first copy of the cache-resident wrap — precisely
-      // the buffer the pipelined path streams from instead.
-      Partitioned out = *wrapped;
-      charge(out);
-      return out;
-    }
-
-    case AlgKind::kSelect: {
-      GaugeRelease in_release{&metrics};
-      CLEANM_ASSIGN_OR_RETURN(Partitioned in, RunTracked(plan->input, &in_release.bytes));
-      op_span.SetRowsIn(engine::Cluster::TotalRows(in));
-      const TupleLayout layout = CollectVars(plan->input);
-      CLEANM_ASSIGN_OR_RETURN(auto pred, CompilePredicate(plan->pred, layout, Env()));
-      Partitioned out =
-          cluster->Filter(in, [pred](const Row& r) { return pred(PhysicalTupleOf(r)); });
-      charge(out);
-      return out;
-    }
-
-    case AlgKind::kJoin:
-    case AlgKind::kOuterJoin: {
-      GaugeRelease left_release{&metrics}, right_release{&metrics};
-      CLEANM_ASSIGN_OR_RETURN(Partitioned left,
-                              RunTracked(plan->input, &left_release.bytes));
-      CLEANM_ASSIGN_OR_RETURN(Partitioned right,
-                              RunTracked(plan->right, &right_release.bytes));
-      op_span.SetRowsIn(engine::Cluster::TotalRows(left) +
-                        engine::Cluster::TotalRows(right));
-      CLEANM_ASSIGN_OR_RETURN(Partitioned out, ExecJoin(plan, left, right));
-      charge(out);
-      return out;
-    }
-
-    case AlgKind::kUnnest:
-    case AlgKind::kOuterUnnest: {
-      GaugeRelease in_release{&metrics};
-      CLEANM_ASSIGN_OR_RETURN(Partitioned in, RunTracked(plan->input, &in_release.bytes));
-      op_span.SetRowsIn(engine::Cluster::TotalRows(in));
-      const TupleLayout layout = CollectVars(plan->input);
-      CLEANM_ASSIGN_OR_RETURN(CompiledExpr path, CompileExpr(plan->path, layout, Env()));
-      const std::string var = plan->path_var;
-      const bool outer = plan->kind == AlgKind::kOuterUnnest;
-      Partitioned out = cluster->FlatMap(in, [path, var, outer](const Row& r,
-                                                                Partition* dst) {
-        const Value coll = path(PhysicalTupleOf(r));
-        auto pad = [&](Value element) {
-          ValueStruct padded = PhysicalTupleOf(r).AsStruct();
-          padded.emplace_back(var, std::move(element));
-          dst->push_back(MakePhysicalTuple(Value(std::move(padded))));
-        };
-        if (coll.is_null() || (coll.type() == ValueType::kList && coll.AsList().empty())) {
-          if (outer) pad(Value::Null());
-          return;
-        }
-        if (coll.type() != ValueType::kList) {
-          pad(coll);  // scalar behaves as singleton (XML-style nesting)
-          return;
-        }
-        for (const auto& element : coll.AsList()) pad(element);
-      });
-      charge(out);
-      return out;
-    }
-
-    case AlgKind::kNest: {
-      const size_t nodes = cluster->num_nodes();
-      if (!persist_nests) {
-        auto local = local_nests.find(plan.get());
-        if (local != local_nests.end()) {
-          Partitioned out = local->second;
-          charge(out);
-          return out;
-        }
-      } else {
-        const Catalog& cat = *catalog;
-        if (PartitionPin cached = cache->FindNest(
-                plan.get(), nodes,
-                [&cat](const std::string& t) { return cat.GenerationOf(t); })) {
-          Partitioned out = *cached;
-          charge(out);
-          return out;
-        }
-      }
-
-      CLEANM_ASSIGN_OR_RETURN(CompiledNest compiled, CompileNestStage(plan));
-      GaugeRelease in_release{&metrics};
-      CLEANM_ASSIGN_OR_RETURN(Partitioned in, RunTracked(plan->input, &in_release.bytes));
-      op_span.SetRowsIn(engine::Cluster::TotalRows(in));
-
-      // Phase 1 (materialize-first): the whole keyed expansion exists as a
-      // Partitioned before aggregation — the buffer the pipelined Nest
-      // folds away morsel by morsel.
-      auto nest_expand = compiled.expand;
-      Partitioned keyed = cluster->FlatMap(in, [nest_expand](const Row& r, Partition* out) {
-        nest_expand(PhysicalTupleOf(r), out);
-      });
-      GaugeRelease keyed_release{&metrics, PartitionedLogicalBytes(keyed)};
-      metrics.ChargeMaterialized(keyed_release.bytes);
-
-      // Phase 2: monoid aggregation under the configured shuffle strategy.
-      LoadReport load;
-      Partitioned result = engine::AggregateByKey(*cluster, keyed, compiled.spec,
-                                                  options.aggregate_strategy,
-                                                  &load);
-      charge(result);
-      // The routed (pre-aggregation) distribution is the skew signal the
-      // profile reports for a Nest, not the per-node group counts.
-      if (op_span.active()) op_span.SetNodeRows(std::move(load.rows_per_node));
-      if (!persist_nests) {
-        local_nests.emplace(plan.get(), result);
-      } else {
-        std::vector<std::pair<std::string, uint64_t>> deps;
-        CollectScanDeps(plan, *catalog, &deps);
-        cache->PutNest(plan, nodes, std::move(deps), result);
-      }
-      return result;
-    }
-
-    case AlgKind::kReduce:
-      return Status::InvalidArgument("Reduce root must go through RunToValue");
-  }
-  return Status::Internal("unhandled physical plan kind");
-}
-
-Result<Value> Executor::RunToValue(const AlgOpPtr& plan) {
-  if (!plan) return Status::Internal("null physical plan");
-  QueryMetrics& metrics = cluster->metrics();
-  if (plan->kind != AlgKind::kReduce) {
-    GaugeRelease root_release{&metrics};
-    CLEANM_ASSIGN_OR_RETURN(Partitioned tuples, RunTracked(plan, &root_release.bytes));
-    ValueList out;
-    uint64_t list_bytes = 0;
-    for (const auto& p : tuples) {
-      for (const auto& row : p) {
-        list_bytes += PhysicalTupleOf(row).ByteSize();
-        out.push_back(PhysicalTupleOf(row));
-      }
-    }
-    // The driver-side result list coexists with the root buffer here; fold
-    // that high-water point into the peak, then stop tracking (the Value
-    // returned is the caller's).
-    GaugeRelease list_release{&metrics, list_bytes};
-    metrics.ChargeMaterialized(list_bytes);
-    return Value(std::move(out));
-  }
-  const AggregateFunction* udf = nullptr;
-  CLEANM_ASSIGN_OR_RETURN(const Monoid* monoid,
-                          ResolveAggregateMonoid(functions, plan->monoid, &udf));
-  TraceScope op_span("operator", AlgKindName(plan->kind), plan.get(), -1,
-                     &metrics);
-  GaugeRelease in_release{&metrics};
-  CLEANM_ASSIGN_OR_RETURN(Partitioned in, RunTracked(plan->input, &in_release.bytes));
-  op_span.SetRowsIn(engine::Cluster::TotalRows(in));
-  if (op_span.active()) {
-    std::vector<uint64_t> node_rows;
-    node_rows.reserve(in.size());
-    for (const auto& p : in) node_rows.push_back(p.size());
-    op_span.SetNodeRows(std::move(node_rows));
-  }
-  const TupleLayout layout = CollectVars(plan->input);
-  CLEANM_ASSIGN_OR_RETURN(CompiledExpr head, CompileExpr(plan->head, layout, Env()));
-  // Fold locally per node, then merge the partials on the driver — legal
-  // for any monoid by associativity (commutative monoids also tolerate the
-  // arbitrary node order; "list" keeps node order deterministic).
-  std::vector<Value> partials(cluster->num_nodes(), monoid->zero());
-  cluster->RunOnNodes([&](size_t n) {
-    Value acc = monoid->zero();
-    for (const auto& row : in[n]) {
-      acc = monoid->Accumulate(std::move(acc), head(PhysicalTupleOf(row)));
-    }
-    partials[n] = std::move(acc);
-  });
-  Value acc = monoid->zero();
-  for (auto& p : partials) acc = monoid->Merge(std::move(acc), p);
-  if (udf) cluster->metrics().udf_calls += engine::Cluster::TotalRows(in);
-  if (udf && udf->finalize) return udf->finalize({acc});
-  return acc;
 }
 
 }  // namespace cleanm

@@ -2,9 +2,10 @@
 // (paper Section 6, Table 2).
 //
 // Operator mapping (Table 2 of the paper, Spark column → engine column):
-//   Select      → Cluster::Filter
-//   Reduce      → map + driver-side monoid fold
-//   Unnest      → Cluster::FlatMap
+//   Select      → filter stage of a morsel pipeline
+//   Unnest      → flatMap stage of a morsel pipeline
+//   Project     → per-tuple field mapping stage of a morsel pipeline
+//   Reduce      → morsel-fed per-node fold + driver-side monoid merge
 //   Nest        → aggregate-by-key under the configured strategy: CleanDB
 //                 uses local pre-aggregation (aggregateByKey →
 //                 mapPartitions); the baselines use sort-/hash-shuffles
@@ -80,11 +81,11 @@ struct Executor {
   /// Nest (Figure 1) works in either mode.
   bool persist_nests = true;
   std::map<const AlgOp*, engine::Partitioned> local_nests;
-  /// Per-execution poison-row quarantine (null = off). When set, pipelined
+  /// Per-execution poison-row quarantine (null = off). When set, pipeline
   /// segments route a row whose compiled expression or UDF throws into the
   /// sink (recorded with source label, node, and row ordinal) and skip it
   /// instead of failing the execution; past the sink's cap the execution
-  /// aborts. The materialize-first path ignores it.
+  /// aborts.
   engine::QuarantineSink* quarantine = nullptr;
   /// Buffer pool for page-backed table scans (null = scans use the
   /// resident Dataset). Set by the session/execution alongside `spill`.
@@ -105,42 +106,31 @@ struct Executor {
   /// cluster's metrics (udf_calls accounting).
   CompileEnv Env() const { return {functions, &cluster->metrics()}; }
 
-  /// Executes a plan (any root except Reduce), returning distributed
-  /// tuples. Tuple layout matches CollectVars(plan). This is the
-  /// *materialize-first* path: every operator's full output exists as a
-  /// Partitioned before its consumer runs (kept as the
-  /// ExecOptions::pipeline=false baseline; each such buffer is charged to
-  /// the peak_bytes_materialized gauge).
-  Result<engine::Partitioned> Run(const AlgOpPtr& plan);
-
-  /// Executes a full plan; Reduce roots fold to a single Value, other
-  /// roots collect their tuples into a list Value (same convention as the
-  /// reference evaluator).
-  Result<Value> RunToValue(const AlgOpPtr& plan);
-
-  // ---- Pipelined execution (operator-level streaming; pipeline.cc) ----
+  // ---- Execution (operator-level streaming; pipeline.cc) ----
   //
   // The plan decomposes into MorselSource → Transform* chains: Select /
-  // Unnest stages stream fixed-size morsels from a resident source (a
-  // cached scan, a Nest output, a Join output) without materializing any
-  // intermediate operator output; pipeline *breakers* sit only at
-  // Nest / Reduce / shuffle (join) boundaries, and a Nest consumes its own
-  // input morsel-wise (engine::MorselAggregator), so the keyed expansion
-  // is never materialized either. Results are bit-identical to Run /
-  // RunToValue: per-node row order, fold order, and node-major delivery all
-  // match the materializing path.
+  // Unnest / Project stages stream fixed-size morsels from a resident
+  // source (a cached scan, a Nest output, a Join output) without
+  // materializing any intermediate operator output; pipeline *breakers*
+  // sit only at Nest / Reduce / shuffle (join) boundaries, and a Nest
+  // consumes its own input morsel-wise (engine::MorselAggregator), so the
+  // keyed expansion is never materialized either. Per-node row order, fold
+  // order, and node-major delivery do not depend on the morsel size, so
+  // results are bit-identical at any morsel_rows.
 
   /// Streams the plan's output tuples (layout CollectVars(plan)) to
   /// `consume` in node-major order, `morsel_rows` rows at a time. A non-OK
   /// status from `consume` aborts the execution early and is returned.
-  /// The root must not be a Reduce (use RunToValuePipelined).
+  /// The root must not be a Reduce (use RunToValue).
   Status RunPipelined(const AlgOpPtr& plan, size_t morsel_rows,
                       const std::function<Status(size_t node, engine::Partition&&)>&
                           consume);
 
-  /// Pipelined counterpart of RunToValue: Reduce roots fold morsel-fed
-  /// per-node partials; other roots collect their streamed tuples.
-  Result<Value> RunToValuePipelined(const AlgOpPtr& plan, size_t morsel_rows);
+  /// Executes a full plan; Reduce roots fold morsel-fed per-node partials
+  /// to a single Value, other roots collect their streamed tuples into a
+  /// list Value (same convention as the reference evaluator).
+  Result<Value> RunToValue(const AlgOpPtr& plan,
+                           size_t morsel_rows = engine::MorselSpec().morsel_rows);
 
   // ---- Internals shared by planner.cc and pipeline.cc ----
 
@@ -198,12 +188,6 @@ struct Executor {
     engine::AggregateSpec spec;
   };
 
-  /// `Run` with materialization accounting: the returned buffer's logical
-  /// bytes stay charged on the gauge and are reported via `out_bytes`; the
-  /// caller releases them when the buffer dies (cache-resident results
-  /// report 0).
-  Result<engine::Partitioned> RunTracked(const AlgOpPtr& plan, uint64_t* out_bytes);
-
   /// The {var: record} wrapped scan, resolved through (and pinned in) the
   /// session cache.
   Result<PartitionPin> WrappedScan(const AlgOp& scan);
@@ -233,9 +217,8 @@ struct Executor {
 };
 
 /// Every table scanned under `plan`, with the catalog's current generation
-/// — the dependency set recorded on cached Nest outputs. Shared by the
-/// materializing (planner.cc) and pipelined (pipeline.cc) paths: the two
-/// must record identical dep sets or cache invalidation diverges.
+/// — the dependency set recorded on cached Nest outputs (and the tables an
+/// execution's admission charge covers).
 void CollectScanDeps(const AlgOpPtr& plan, const Catalog& catalog,
                      std::vector<std::pair<std::string, uint64_t>>* deps);
 

@@ -3,6 +3,8 @@
 // rewriter rules including the Figure-1 Nest coalescing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algebra/algebra.h"
 #include "algebra/algebra_eval.h"
 #include "algebra/rewriter.h"
@@ -226,6 +228,15 @@ TEST(RewriterTest, FusesStackedSelects) {
   EXPECT_EQ(rewritten->input->kind, AlgKind::kScan);
 }
 
+/// Tuples rendered and sorted: equal iff the two tuple bags are equal field
+/// for field (names, order, and values).
+std::vector<std::string> RenderedTuples(const std::vector<Value>& tuples) {
+  std::vector<std::string> out;
+  for (const auto& t : tuples) out.push_back(t.ToString());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(RewriterTest, CoalescesNestsOverSameInputAndKey) {
   // The Figure-1 BC case: FD check and dedup both group customer by address.
   GroupSpec by_address;
@@ -246,23 +257,28 @@ TEST(RewriterTest, CoalescesNestsOverSameInputAndKey) {
   EXPECT_EQ(coalesced.groups_merged, 1);
   ASSERT_EQ(coalesced.roots.size(), 2u);
 
-  // Both roots are Selects over the *same* shared Nest node.
-  ASSERT_EQ(coalesced.roots[0]->kind, AlgKind::kSelect);
-  ASSERT_EQ(coalesced.roots[1]->kind, AlgKind::kSelect);
-  EXPECT_EQ(coalesced.roots[0]->input.get(), coalesced.roots[1]->input.get());
-  const auto& merged = coalesced.roots[0]->input;
+  // Both roots apply their having as a Select over the *same* shared Nest
+  // node, then Project back to their own fields (the shared Nest also
+  // carries the other plan's aggregation).
+  for (const auto& root : coalesced.roots) {
+    ASSERT_EQ(root->kind, AlgKind::kProject);
+    ASSERT_EQ(root->input->kind, AlgKind::kSelect);
+  }
+  EXPECT_EQ(coalesced.roots[0]->input->input.get(),
+            coalesced.roots[1]->input->input.get());
+  const auto& merged = coalesced.roots[0]->input->input;
   ASSERT_EQ(merged->kind, AlgKind::kNest);
   EXPECT_EQ(merged->aggs.size(), 2u);
   EXPECT_EQ(merged->having, nullptr);
 
-  // Semantics: each root yields the same groups as its original plan.
+  // Semantics: each root yields exactly its original plan's tuples.
   auto customers = MakeCustomers();
   Catalog catalog{{{"customer", &customers}}};
   for (size_t i = 0; i < 2; i++) {
     const AlgOpPtr original = i == 0 ? fd_plan : dedup_plan;
-    auto before = EvalPlanTuples(original, catalog).ValueOrDie();
-    auto after = EvalPlanTuples(coalesced.roots[i], catalog).ValueOrDie();
-    EXPECT_EQ(before.size(), after.size()) << "plan " << i;
+    EXPECT_EQ(RenderedTuples(EvalPlanTuples(coalesced.roots[i], catalog).ValueOrDie()),
+              RenderedTuples(EvalPlanTuples(original, catalog).ValueOrDie()))
+        << "plan " << i;
   }
 }
 
@@ -279,7 +295,8 @@ TEST(RewriterTest, CoalesceRenamesCollidingAggregations) {
                    Binary(BinaryOp::kGt, Call("count", {Var("vals")}), ConstInt(1)));
   auto coalesced = CoalesceNests({p1, p2});
   EXPECT_EQ(coalesced.groups_merged, 1);
-  const auto& merged = coalesced.roots[0]->input;
+  const auto& merged = coalesced.roots[0]->input->input;
+  ASSERT_EQ(merged->kind, AlgKind::kNest);
   ASSERT_EQ(merged->aggs.size(), 2u);
   EXPECT_NE(merged->aggs[0].name, merged->aggs[1].name);
 
@@ -287,8 +304,16 @@ TEST(RewriterTest, CoalesceRenamesCollidingAggregations) {
   Catalog catalog{{{"customer", &customers}}};
   // p1: addresses with >1 distinct phone (rue de lausanne: 3 phones) → 1.
   // p2: addresses with >1 distinct nationkey (rue de lausanne: 1,1,3) → 1.
-  EXPECT_EQ(EvalPlanTuples(coalesced.roots[0], catalog).ValueOrDie().size(), 1u);
-  EXPECT_EQ(EvalPlanTuples(coalesced.roots[1], catalog).ValueOrDie().size(), 1u);
+  // Each root reports its own values under its own name `vals` — the
+  // renamed merged field never leaks into the output.
+  for (size_t i = 0; i < 2; i++) {
+    const AlgOpPtr original = i == 0 ? p1 : p2;
+    const auto tuples = EvalPlanTuples(coalesced.roots[i], catalog).ValueOrDie();
+    EXPECT_EQ(tuples.size(), 1u);
+    EXPECT_EQ(RenderedTuples(tuples),
+              RenderedTuples(EvalPlanTuples(original, catalog).ValueOrDie()))
+        << "plan " << i;
+  }
 }
 
 TEST(RewriterTest, DoesNotCoalesceDifferentKeys) {

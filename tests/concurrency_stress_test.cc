@@ -2,7 +2,7 @@
 // ThreadSanitizer; the plain presets run them as functional races).
 //
 // One CleanDB, many driver threads: prepared FD / dedup / SELECT queries
-// execute concurrently over the shared worker pool while other threads
+// execute concurrently over the cluster's worker lanes while other threads
 // re-register tables and commit repairs. The contracts under test are the
 // ones DESIGN.md ("Threading & session concurrency") documents:
 //
@@ -20,7 +20,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -486,6 +488,146 @@ TEST(ConcurrencyStressTest, AdmissionBudgetSerializesWhileUnlimitedOverlaps) {
     hammer(db);
     EXPECT_EQ(max_overlap.load(), 1) << "admission failed to serialize";
   }
+}
+
+/// Live threads of this process (the `Threads:` line of /proc/self/status),
+/// or -1 when it cannot be read.
+int ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+/// Reusable rendezvous of `n` threads (std::barrier is C++20). A wait that
+/// times out returns false instead of hanging the suite.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int n) : n_(n) {}
+  bool ArriveAndWait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    const int generation = generation_;
+    if (++arrived_ == n_) {
+      arrived_ = 0;
+      generation_++;
+      cv_.notify_all();
+      return true;
+    }
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return generation_ != generation; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  const int n_;
+  int arrived_ = 0;
+  int generation_ = 0;
+};
+
+TEST(ConcurrencyStressTest, NoThreadsAreCreatedPerOperator) {
+  // Concurrent drivers on one session each lease a worker lane per engine
+  // call. Lanes are kept for the session's lifetime, so once every driver
+  // has held one at the same time, no later operator creates a thread.
+  constexpr int kDrivers = 4;
+  constexpr size_t kNodes = 4;
+  constexpr int kRuns = 50;
+  const char* kQuery = R"(
+    SELECT * FROM customer c
+    FD(c.address, c.nationkey)
+    FD(c.address, prefix(c.phone))
+    FD(c.name, c.nationkey)
+    FD(c.phone, c.nationkey)
+    FD(c.name, c.address)
+    FD(c.phone, c.address)
+    FD(c.name, c.phone)
+    FD(c.custkey, c.nationkey)
+  )";
+  const int threads_before = ThreadCount();
+  ASSERT_GT(threads_before, 0) << "cannot read /proc/self/status";
+
+  CleanDB db(FastCleanDBOptions(kNodes));
+  const Dataset data = DirtyCustomers();
+  std::vector<PreparedQuery> queries;
+  for (int d = 0; d < kDrivers; d++) {
+    const std::string table = "customer" + std::to_string(d);
+    db.RegisterTable(table, data);
+    std::string q = kQuery;
+    q.replace(q.find("customer"), 8, table);
+    auto prepared = db.Prepare(q);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    queries.push_back(std::move(prepared.value()));
+  }
+
+  // Warm-up round: every driver parks in its first violation callback —
+  // i.e. while its pump holds a lane — until all drivers are there, so the
+  // round really holds kDrivers lanes at once.
+  class RendezvousSink : public ViolationSink {
+   public:
+    explicit RendezvousSink(Rendezvous* r) : rendezvous_(r) {}
+    Status OnViolation(const std::string&, const Value&) override {
+      if (first_) {
+        first_ = false;
+        if (!rendezvous_->ArriveAndWait()) {
+          return Status::Internal("warm-up drivers never met");
+        }
+      }
+      return Status::OK();
+    }
+    Status OnDirtyEntity(const Value&, const std::vector<std::string>&) override {
+      return Status::OK();
+    }
+
+   private:
+    Rendezvous* rendezvous_;
+    bool first_ = true;
+  };
+
+  Rendezvous in_pump(kDrivers), checkpoint(kDrivers);
+  std::atomic<int> errors{0};
+  std::atomic<bool> warm{false};
+  std::atomic<int> finished{0};
+  int after_warmup = -1, after_last = -1;
+  std::vector<std::thread> drivers;
+  for (int d = 0; d < kDrivers; d++) {
+    drivers.emplace_back([&, d] {
+      RendezvousSink sink(&in_pump);
+      if (!queries[d].ExecuteInto(sink).ok()) errors++;
+      // All drivers parked between rounds while one reads the count.
+      if (!checkpoint.ArriveAndWait()) errors++;
+      if (d == 0) {
+        after_warmup = ThreadCount();
+        warm = true;
+      }
+      if (!checkpoint.ArriveAndWait()) errors++;
+      for (int run = 1; run < kRuns; run++) {
+        db.RegisterTable("customer" + std::to_string(d), data);
+        if (!queries[d].Execute().ok()) errors++;
+      }
+      if (!checkpoint.ArriveAndWait()) errors++;
+      if (d == 0) after_last = ThreadCount();
+      if (!checkpoint.ArriveAndWait()) errors++;
+      finished++;
+    });
+  }
+  // This thread samples the count while the drivers run after warm-up: a
+  // thread spawned and joined inside one operator shows up here even though
+  // it is gone by the final checkpoint.
+  int peak_after_warmup = -1;
+  while (finished.load() < kDrivers) {
+    if (warm) peak_after_warmup = std::max(peak_after_warmup, ThreadCount());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  for (auto& t : drivers) t.join();
+
+  EXPECT_EQ(errors.load(), 0);
+  // The bound: this thread, each driver, and one lane of kNodes workers per
+  // driver (threads_before also covers any sanitizer runtime thread).
+  EXPECT_LE(after_warmup, threads_before + kDrivers * static_cast<int>(kNodes + 1));
+  EXPECT_EQ(after_last, after_warmup);
+  EXPECT_EQ(peak_after_warmup, after_warmup);
 }
 
 }  // namespace

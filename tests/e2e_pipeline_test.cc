@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -540,11 +541,10 @@ TEST(E2EGroupByTest, GroupByPlanSurvivesRewriterAndMatchesReference) {
 
 // ---- Scenario 8: operator-level pipelining (morsel-driven execution) ----
 //
-// ExecOptions::pipeline = true must be observationally *bit-identical* to
-// the materialize-first baseline — the same violation tuples, in the same
-// order, per operation, at any morsel size — while really streaming
-// (morsels metered) and holding peak transient memory at or below the
-// baseline. These are the equivalence guarantees the bench gate
+// Morsel boundaries must be observationally invisible: the same violation
+// tuples, in the same order, per operation, at any morsel size — while
+// really streaming (morsels metered) — and the same violations as the
+// reference evaluator. These are the equivalence guarantees the bench gate
 // (bench_unified_cleaning --check) enforces at scale.
 
 Dataset PipelineCustomers() {
@@ -555,6 +555,10 @@ Dataset PipelineCustomers() {
   copts.fd_violation_fraction = 0.08;
   return datagen::MakeCustomer(copts);
 }
+
+/// Morsel sizes every equivalence test sweeps: a degenerate 1-row morsel, a
+/// prime size that straddles every partition, and the 4096 default.
+constexpr size_t kMorselSweep[] = {1, 7, 4096};
 
 /// Violations of every operation rendered in emission order — the
 /// bit-exact comparison key (no canonicalization: order and structure both
@@ -579,15 +583,95 @@ std::vector<std::string> RenderedDirtyEntities(const QueryResult& result) {
   return out;
 }
 
-/// One cold execution on a fresh session under the given pipeline config.
-QueryResult ExecutePipelineConfig(const Dataset& data, const std::string& query,
-                                  bool pipeline, size_t morsel_rows) {
+/// The standalone cleaning plans the session builds for `query_text`
+/// (FD / DEDUP / CLUSTER BY clauses, session filtering defaults), named
+/// FD, FD_2, ... as the session names them.
+std::vector<CleaningPlan> StandalonePlans(const std::string& query_text) {
+  const CleanMQuery query = ParseCleanM(query_text).ValueOrDie();
+  const TableRef& base = query.from[0];
+  FilteringOptions fopts = FastCleanDBOptions().filtering;
+  std::vector<CleaningPlan> plans;
+  for (const auto& fd : query.fds) {
+    plans.push_back(BuildFdPlan(base.table, base.alias, fd).ValueOrDie());
+  }
+  for (const auto& dedup : query.dedups) {
+    fopts.algo = dedup.op;
+    plans.push_back(
+        BuildDedupPlan(base.table, base.alias, dedup, fopts).ValueOrDie());
+  }
+  for (const auto& cb : query.cluster_bys) {
+    fopts.algo = cb.op;
+    const TableRef& dict = query.from[1];
+    plans.push_back(BuildTermValidationPlan(base.table, base.alias, dict.table,
+                                            dict.alias, cb.term->name, cb, fopts)
+                        .ValueOrDie());
+  }
+  std::map<std::string, int> seen;
+  for (auto& cp : plans) {
+    const int n = ++seen[cp.op_name];
+    if (n > 1) cp.op_name += "_" + std::to_string(n);
+  }
+  return plans;
+}
+
+/// Order-free rendering of one violation of `cp`: the whole tuple, or with
+/// `entities_only` just its entity fields — the sink deduplicates on those,
+/// so when one entity pair occurs in several groups (token filtering),
+/// which group's tuple survives depends on evaluation order.
+std::string CanonicalViolation(const CleaningPlan& cp, const Value& v,
+                               bool entities_only) {
+  if (!entities_only) return cp.op_name + "|" + CanonicalString(v);
+  ValueStruct projected;
+  for (const auto& var : cp.entity_vars) {
+    projected.emplace_back(var, v.GetField(var).ValueOrDie());
+  }
+  return cp.op_name + "|" + CanonicalString(Value(std::move(projected)));
+}
+
+/// The reference evaluator's violations: each standalone plan evaluated
+/// by algebra_eval and deduplicated like the session's sink.
+std::multiset<std::string> ReferenceViolations(const std::vector<CleaningPlan>& plans,
+                                               const Catalog& catalog,
+                                               bool entities_only = false) {
+  std::multiset<std::string> out;
+  for (const auto& cp : plans) {
+    const Value result = EvalPlan(cp.plan, catalog).ValueOrDie();
+    EXPECT_TRUE(ForEachDedupedViolation(result, cp, [&](const Value& v) {
+                  out.insert(CanonicalViolation(cp, v, entities_only));
+                  return Status::OK();
+                }).ok());
+  }
+  return out;
+}
+
+/// A session result in the same order-free rendering.
+std::multiset<std::string> CanonicalViolations(const QueryResult& result,
+                                               const std::vector<CleaningPlan>& plans,
+                                               bool entities_only = false) {
+  std::multiset<std::string> out;
+  for (const auto& op : result.ops) {
+    const auto cp = std::find_if(plans.begin(), plans.end(), [&](const CleaningPlan& p) {
+      return p.op_name == op.op_name;
+    });
+    if (cp == plans.end()) {
+      ADD_FAILURE() << "no standalone plan for operation " << op.op_name;
+      continue;
+    }
+    for (const auto& v : op.violations) {
+      out.insert(CanonicalViolation(*cp, v, entities_only));
+    }
+  }
+  return out;
+}
+
+/// One cold execution on a fresh session at the given morsel size.
+QueryResult ExecuteAtMorselSize(const Dataset& data, const std::string& query,
+                                size_t morsel_rows) {
   CleanDB db(FastCleanDBOptions());
   db.RegisterTable("customer", data);
   auto prepared = db.Prepare(query);
   EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
   ExecOptions opts;
-  opts.pipeline = pipeline;
   opts.morsel_rows = morsel_rows;
   return prepared.value().Execute(opts).ValueOrDie();
 }
@@ -600,16 +684,17 @@ TEST(E2EMorselPipelineTest, FdAndDedupBitIdenticalAcrossMorselSizes) {
     DEDUP(exact, LD, 0.8, c.address)
   )";
   const Dataset data = PipelineCustomers();
-  const QueryResult baseline = ExecutePipelineConfig(data, query, false, 4096);
+  const QueryResult baseline = ExecuteAtMorselSize(data, query, 4096);
   const auto baseline_violations = RenderedViolations(baseline);
   const auto baseline_entities = RenderedDirtyEntities(baseline);
   ASSERT_GT(baseline_violations.size(), 0u);
-  EXPECT_EQ(baseline.metrics.morsels_processed, 0u);
+  const Catalog catalog{{{"customer", &data}}};
+  const auto plans = StandalonePlans(query);
+  EXPECT_EQ(CanonicalViolations(baseline, plans), ReferenceViolations(plans, catalog));
 
-  // Morsel boundaries must never change results: a degenerate 1-row morsel,
-  // a prime size that straddles every partition, and the 4096 default.
-  for (size_t morsel_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
-    const QueryResult piped = ExecutePipelineConfig(data, query, true, morsel_rows);
+  // Morsel boundaries must never change results.
+  for (size_t morsel_rows : kMorselSweep) {
+    const QueryResult piped = ExecuteAtMorselSize(data, query, morsel_rows);
     EXPECT_EQ(RenderedViolations(piped), baseline_violations)
         << "violations diverged at morsel_rows=" << morsel_rows;
     EXPECT_EQ(RenderedDirtyEntities(piped), baseline_entities)
@@ -633,21 +718,25 @@ TEST(E2EMorselPipelineTest, TermValidationBitIdenticalAcrossMorselSizes) {
   for (const auto& row : dict.rows()) named_dict.Append(row);
 
   const char* query = "SELECT * FROM data c, dict d CLUSTER BY(tf, LD, 0.8, c.name)";
-  auto run = [&](bool pipeline, size_t morsel_rows) {
+  auto run = [&](size_t morsel_rows) {
     CleanDB db(FastCleanDBOptions());
     db.RegisterTable("data", data);
     db.RegisterTable("dict", named_dict);
     auto prepared = db.Prepare(query);
     EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
     ExecOptions opts;
-    opts.pipeline = pipeline;
     opts.morsel_rows = morsel_rows;
     return prepared.value().Execute(opts).ValueOrDie();
   };
-  const auto baseline = RenderedViolations(run(false, 4096));
-  ASSERT_GT(baseline.size(), 0u);  // the noised variants are flagged
-  for (size_t morsel_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
-    EXPECT_EQ(RenderedViolations(run(true, morsel_rows)), baseline)
+  const QueryResult baseline = run(4096);
+  const auto baseline_violations = RenderedViolations(baseline);
+  ASSERT_GT(baseline_violations.size(), 0u);  // the noised variants are flagged
+  const Catalog catalog{{{"data", &data}, {"dict", &named_dict}}};
+  const auto plans = StandalonePlans(query);
+  EXPECT_EQ(CanonicalViolations(baseline, plans, /*entities_only=*/true),
+            ReferenceViolations(plans, catalog, /*entities_only=*/true));
+  for (size_t morsel_rows : kMorselSweep) {
+    EXPECT_EQ(RenderedViolations(run(morsel_rows)), baseline_violations)
         << "term validation diverged at morsel_rows=" << morsel_rows;
   }
 }
@@ -667,7 +756,7 @@ TEST(E2EMorselPipelineTest, JoinOverNestsSurvivesTinyCacheBudget) {
   data.Append({Value("jonathan smith")});
 
   const char* query = "SELECT * FROM data c, dict d CLUSTER BY(tf, LD, 0.8, c.name)";
-  auto run = [&](size_t cache_bytes, bool pipeline) {
+  auto run = [&](size_t cache_bytes) {
     CleanDBOptions opts = FastCleanDBOptions();
     opts.partition_cache_bytes = cache_bytes;
     CleanDB db(opts);
@@ -676,35 +765,41 @@ TEST(E2EMorselPipelineTest, JoinOverNestsSurvivesTinyCacheBudget) {
     auto prepared = db.Prepare(query);
     EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
     ExecOptions eo;
-    eo.pipeline = pipeline;
     eo.morsel_rows = 1;
     return prepared.value().Execute(eo).ValueOrDie();
   };
-  const auto unbounded = RenderedViolations(run(0, true));
-  EXPECT_EQ(RenderedViolations(run(1, true)), unbounded);  // evicts every Put
-  EXPECT_EQ(RenderedViolations(run(1, false)), unbounded);
+  const auto unbounded = RenderedViolations(run(0));
+  ASSERT_GT(unbounded.size(), 0u);
+  EXPECT_EQ(RenderedViolations(run(1)), unbounded);  // evicts every Put
 }
 
 TEST(E2EMorselPipelineTest, DenialConstraintBitIdenticalAcrossMorselSizes) {
   const Dataset data = PipelineCustomers();
-  auto run = [&](bool pipeline, size_t morsel_rows) {
+  const char* rule =
+      "t1.address = t2.address AND t1.custkey < t2.custkey "
+      "AND t1.nationkey <> t2.nationkey";
+  auto run = [&](size_t morsel_rows) {
     CleanDB db(FastCleanDBOptions());
     db.RegisterTable("customer", data);
-    auto prepared = db.PrepareDenialConstraint(
-        "customer",
-        ParseCleanMExpr("t1.address = t2.address AND t1.custkey < t2.custkey "
-                        "AND t1.nationkey <> t2.nationkey")
-            .ValueOrDie());
+    auto prepared =
+        db.PrepareDenialConstraint("customer", ParseCleanMExpr(rule).ValueOrDie());
     EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
     ExecOptions opts;
-    opts.pipeline = pipeline;
     opts.morsel_rows = morsel_rows;
     return prepared.value().Execute(opts).ValueOrDie();
   };
-  const auto baseline = RenderedViolations(run(false, 4096));
-  ASSERT_GT(baseline.size(), 0u);
-  for (size_t morsel_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
-    EXPECT_EQ(RenderedViolations(run(true, morsel_rows)), baseline)
+  const QueryResult baseline = run(4096);
+  const auto baseline_violations = RenderedViolations(baseline);
+  ASSERT_GT(baseline_violations.size(), 0u);
+  CleaningPlan dc;
+  dc.op_name = "DC";
+  dc.plan = JoinOp(Scan("customer", "t1"), Scan("customer", "t2"),
+                   ParseCleanMExpr(rule).ValueOrDie());
+  dc.entity_vars = {"t1", "t2"};
+  const Catalog catalog{{{"customer", &data}}};
+  EXPECT_EQ(CanonicalViolations(baseline, {dc}), ReferenceViolations({dc}, catalog));
+  for (size_t morsel_rows : kMorselSweep) {
+    EXPECT_EQ(RenderedViolations(run(morsel_rows)), baseline_violations)
         << "denial constraint diverged at morsel_rows=" << morsel_rows;
   }
 }
@@ -734,7 +829,6 @@ TEST(E2EMorselPipelineTest, SinkAbortsMidMorselAndStopsTheStream) {
   // the morsel, not finish the operator.
   AbortingSink sink;
   ExecOptions opts;
-  opts.pipeline = true;
   opts.morsel_rows = 7;
   auto status = prepared.value().ExecuteInto(sink, opts);
   ASSERT_FALSE(status.ok());
@@ -749,37 +843,28 @@ TEST(E2EMorselPipelineTest, MetricsMonotonicity) {
     DEDUP(exact, LD, 0.8, c.address)
   )";
   const Dataset data = PipelineCustomers();
-  const QueryResult materialized = ExecutePipelineConfig(data, query, false, 4096);
-  const QueryResult piped_fine = ExecutePipelineConfig(data, query, true, 7);
-  const QueryResult piped_coarse = ExecutePipelineConfig(data, query, true, 4096);
+  const QueryResult fine = ExecuteAtMorselSize(data, query, 7);
+  const QueryResult coarse = ExecuteAtMorselSize(data, query, 4096);
 
-  // The materialize-first path never streams; the pipelined path always
-  // does, and finer morsels mean strictly more of them.
-  EXPECT_EQ(materialized.metrics.morsels_processed, 0u);
-  EXPECT_GT(piped_coarse.metrics.morsels_processed, 0u);
-  EXPECT_GT(piped_fine.metrics.morsels_processed,
-            piped_coarse.metrics.morsels_processed);
+  // Execution always streams, and finer morsels mean strictly more of them.
+  EXPECT_GT(coarse.metrics.morsels_processed, 0u);
+  EXPECT_GT(fine.metrics.morsels_processed, coarse.metrics.morsels_processed);
 
-  // Peak transient memory: nonzero on both paths (real work happened), and
-  // the pipelined peak never exceeds the materialize-first peak.
-  EXPECT_GT(materialized.metrics.peak_bytes_materialized, 0u);
-  EXPECT_GT(piped_fine.metrics.peak_bytes_materialized, 0u);
-  EXPECT_LE(piped_fine.metrics.peak_bytes_materialized,
-            materialized.metrics.peak_bytes_materialized);
-  EXPECT_LE(piped_coarse.metrics.peak_bytes_materialized,
-            materialized.metrics.peak_bytes_materialized);
+  // Peak transient memory: nonzero (real work happened), and finer morsels
+  // never hold more in flight.
+  EXPECT_GT(fine.metrics.peak_bytes_materialized, 0u);
+  EXPECT_LE(fine.metrics.peak_bytes_materialized,
+            coarse.metrics.peak_bytes_materialized);
 
   // Identical work otherwise: the shuffle/scan/group counters agree across
-  // all three configurations (only the pipelining counters may differ).
+  // morsel sizes (only the pipelining counters may differ).
   auto without_pipelining_counters = [](MetricsSnapshot m) {
     m.peak_bytes_materialized = 0;
     m.morsels_processed = 0;
     return m;
   };
-  EXPECT_TRUE(SnapshotsEqual(without_pipelining_counters(materialized.metrics),
-                             without_pipelining_counters(piped_fine.metrics)));
-  EXPECT_TRUE(SnapshotsEqual(without_pipelining_counters(piped_fine.metrics),
-                             without_pipelining_counters(piped_coarse.metrics)));
+  EXPECT_TRUE(SnapshotsEqual(without_pipelining_counters(fine.metrics),
+                             without_pipelining_counters(coarse.metrics)));
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // test: the consumer (sink) fails while producers sit blocked on full
 // per-node queues — the abort flag and both condition variables must
 // interact so every producer wakes, drains, and joins instead of
-// deadlocking. Both producer substrates are covered: the persistent worker
-// pool and the legacy spawn-per-call path (use_worker_pool=false), with the
-// queue window clamped to one morsel so producers block as early as
-// possible.
+// deadlocking. Producers run on a leased worker lane, with the queue window
+// clamped to one morsel so they block as early as possible. A consumer
+// that itself issues engine calls while the pump is in flight must get a
+// lane of its own instead of deadlocking on the pump's.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,33 +35,6 @@ MorselSpec TightSpec() {
   return spec;
 }
 
-ClusterOptions LegacyOptions(size_t nodes) {
-  ClusterOptions opts = FastClusterOptions(nodes);
-  opts.use_worker_pool = false;
-  return opts;
-}
-
-TEST(MorselPumpTest, LegacySinkErrorWithFullQueuesDoesNotDeadlock) {
-  Cluster cluster(LegacyOptions(4));
-  auto source = cluster.Parallelize(IntRows(400));  // ~100 morsels per node
-  std::atomic<int> consumed{0};
-  Status status = cluster.PumpToDriver(
-      source, TightSpec(), Identity(), [&](size_t, Partition&&) -> Status {
-        consumed++;
-        // Fail immediately: every other producer is (or soon will be)
-        // blocked on its full one-morsel queue and must be woken by the
-        // abort, not by queue space that will never appear.
-        return Status::Internal("sink failed");
-      });
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(consumed.load(), 1);
-  // Reaching this line is the regression assertion: PumpToDriver joined
-  // all legacy producer threads after the abort. The cluster stays usable.
-  std::atomic<int> nodes_ran{0};
-  cluster.RunOnNodes([&](size_t) { nodes_ran++; });
-  EXPECT_EQ(nodes_ran.load(), 4);
-}
-
 TEST(MorselPumpTest, PoolSinkErrorWithFullQueuesDoesNotDeadlock) {
   Cluster cluster(FastClusterOptions(4));
   auto source = cluster.Parallelize(IntRows(400));
@@ -80,9 +53,9 @@ TEST(MorselPumpTest, PoolSinkErrorWithFullQueuesDoesNotDeadlock) {
 
 TEST(MorselPumpTest, LegacyThrowingConsumerJoinsProducersBeforeUnwinding) {
   // A *throwing* consumer must not unwind past the pump's stack-local
-  // queues while legacy producer threads still reference them (that is a
+  // queues while lane workers still reference them (that is a
   // use-after-scope, not just a leak).
-  Cluster cluster(LegacyOptions(4));
+  Cluster cluster(FastClusterOptions(4));
   auto source = cluster.Parallelize(IntRows(400));
   EXPECT_THROW(
       (void)cluster.PumpToDriver(
@@ -97,10 +70,10 @@ TEST(MorselPumpTest, LegacyThrowingConsumerJoinsProducersBeforeUnwinding) {
 }
 
 TEST(MorselPumpTest, LegacyProducerErrorSurfacesAfterPartialConsumption) {
-  // An expand failure on one legacy producer thread must mark the node done
-  // (so the driver never waits on a dead producer) and rethrow at the call
-  // site after all threads joined.
-  Cluster cluster(LegacyOptions(2));
+  // An expand failure on one producer must mark the node done (so the
+  // driver never waits on a dead producer) and rethrow at the call site
+  // after all producers joined.
+  Cluster cluster(FastClusterOptions(2));
   auto source = cluster.Parallelize(IntRows(100));
   EXPECT_THROW(
       (void)cluster.PumpToDriver(
@@ -117,35 +90,31 @@ TEST(MorselPumpTest, SinkErrorWhileRetryInFlightJoinsAllProducers) {
   // The sink fails on its first morsel while node 2 is still inside its
   // fault-retry loop (two scripted failures with a visible backoff). The
   // abort must reach the retrying producer too: its eventual clean attempt
-  // observes the stop flag, produces nothing, and joins — on both
-  // substrates.
-  for (const bool use_pool : {true, false}) {
-    ClusterOptions opts = FastClusterOptions(4);
-    opts.use_worker_pool = use_pool;
-    opts.fault.target_node = 2;
-    opts.fault.fail_first_attempts = 2;
-    opts.fault.max_task_retries = 3;
-    opts.fault.retry_backoff_ns = 5'000'000;  // keep the retry in flight
-    Cluster cluster(opts);
-    auto source = cluster.Parallelize(IntRows(400));
-    std::atomic<int> consumed{0};
-    Status status = cluster.PumpToDriver(
-        source, TightSpec(), Identity(), [&](size_t, Partition&&) -> Status {
-          consumed++;
-          return Status::Internal("sink failed");
-        });
-    EXPECT_FALSE(status.ok());
-    EXPECT_EQ(consumed.load(), 1);
-    // Injection fires at attempt start, independent of the abort: node 2's
-    // two scripted failures were observed and retried.
-    EXPECT_EQ(cluster.metrics().tasks_failed.load(), 2u);
-    EXPECT_EQ(cluster.metrics().tasks_retried.load(), 2u);
-    // Reaching this line is the regression assertion: PumpToDriver joined
-    // the retrying producer as well. The cluster stays usable.
-    std::atomic<int> nodes_ran{0};
-    cluster.RunOnNodes([&](size_t) { nodes_ran++; });
-    EXPECT_EQ(nodes_ran.load(), 4);
-  }
+  // observes the stop flag, produces nothing, and joins.
+  ClusterOptions opts = FastClusterOptions(4);
+  opts.fault.target_node = 2;
+  opts.fault.fail_first_attempts = 2;
+  opts.fault.max_task_retries = 3;
+  opts.fault.retry_backoff_ns = 5'000'000;  // keep the retry in flight
+  Cluster cluster(opts);
+  auto source = cluster.Parallelize(IntRows(400));
+  std::atomic<int> consumed{0};
+  Status status = cluster.PumpToDriver(
+      source, TightSpec(), Identity(), [&](size_t, Partition&&) -> Status {
+        consumed++;
+        return Status::Internal("sink failed");
+      });
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(consumed.load(), 1);
+  // Injection fires at attempt start, independent of the abort: node 2's
+  // two scripted failures were observed and retried.
+  EXPECT_EQ(cluster.metrics().tasks_failed.load(), 2u);
+  EXPECT_EQ(cluster.metrics().tasks_retried.load(), 2u);
+  // Reaching this line is the regression assertion: PumpToDriver joined
+  // the retrying producer as well. The cluster stays usable.
+  std::atomic<int> nodes_ran{0};
+  cluster.RunOnNodes([&](size_t) { nodes_ran++; });
+  EXPECT_EQ(nodes_ran.load(), 4);
 }
 
 TEST(MorselPumpTest, ProducerRetryDeliversIdenticalNodeMajorStream) {
@@ -180,35 +149,52 @@ TEST(MorselPumpTest, ProducerRetryDeliversIdenticalNodeMajorStream) {
   }
 }
 
-TEST(MorselPumpTest, TightWindowDeliversNodeMajorRowOrderInBothModes) {
+TEST(MorselPumpTest, TightWindowDeliversNodeMajorRowOrder) {
   // The abort machinery must not perturb the happy path: with the tightest
-  // window both substrates deliver every row in deterministic node-major
-  // order, identical to Collect().
-  for (const bool use_pool : {true, false}) {
-    ClusterOptions opts = FastClusterOptions(3);
-    opts.use_worker_pool = use_pool;
-    Cluster cluster(opts);
-    auto source = cluster.Parallelize(IntRows(91));
-    std::vector<Row> expected;
-    for (const auto& part : source) {
-      expected.insert(expected.end(), part.begin(), part.end());
-    }
-    std::vector<Row> got;
-    size_t last_node = 0;
-    Status status = cluster.PumpToDriver(
-        source, TightSpec(), Identity(),
-        [&](size_t node, Partition&& morsel) -> Status {
-          EXPECT_GE(node, last_node);  // node-major: never revisits a node
-          last_node = node;
-          for (auto& row : morsel) got.push_back(std::move(row));
-          return Status::OK();
-        });
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t i = 0; i < got.size(); i++) {
-      EXPECT_TRUE(got[i][0].Equals(expected[i][0])) << "row " << i;
-    }
+  // window every row arrives in deterministic node-major order, identical
+  // to Collect().
+  Cluster cluster(FastClusterOptions(3));
+  auto source = cluster.Parallelize(IntRows(91));
+  std::vector<Row> expected;
+  for (const auto& part : source) {
+    expected.insert(expected.end(), part.begin(), part.end());
   }
+  std::vector<Row> got;
+  size_t last_node = 0;
+  Status status = cluster.PumpToDriver(
+      source, TightSpec(), Identity(),
+      [&](size_t node, Partition&& morsel) -> Status {
+        EXPECT_GE(node, last_node);  // node-major: never revisits a node
+        last_node = node;
+        for (auto& row : morsel) got.push_back(std::move(row));
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); i++) {
+    EXPECT_TRUE(got[i][0].Equals(expected[i][0])) << "row " << i;
+  }
+}
+
+TEST(MorselPumpTest, ConsumerEngineCallWhilePumpInFlightGetsItsOwnLane) {
+  // The consumer runs on the driver thread while the pump's producers hold
+  // their lane, blocked on full one-morsel queues. An engine call from the
+  // consumer must lease a second lane and complete, not wait on the
+  // pump's in-flight epoch (a hang here is the failure; ctest's TIMEOUT on
+  // this binary turns it into one).
+  Cluster cluster(FastClusterOptions(4));
+  auto source = cluster.Parallelize(IntRows(40));
+  std::atomic<int> nested_tasks{0};
+  size_t delivered = 0;
+  Status status = cluster.PumpToDriver(
+      source, TightSpec(), Identity(), [&](size_t, Partition&& morsel) -> Status {
+        delivered += morsel.size();
+        cluster.RunOnNodes([&](size_t) { nested_tasks++; });
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(delivered, 40u);
+  EXPECT_EQ(nested_tasks.load(), 40 * 4);
 }
 
 }  // namespace

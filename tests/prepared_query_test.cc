@@ -31,6 +31,9 @@ Dataset DirtyCustomers() {
   return datagen::MakeCustomer(copts);
 }
 
+void AppendFreshFdViolation(CleanDB& db, const std::string& table,
+                            const Dataset& shape);
+
 /// Bit-identical comparison of two results: same operations in the same
 /// order, every violation Value equal pairwise, and equal dirty-entity
 /// sets (compared order-insensitively — the entity join hashes).
@@ -220,6 +223,81 @@ TEST(PreparedQueryTest, UnifyOverridePerCallMatchesSessionLevelAblation) {
   for (size_t i = 0; i < uni.ops.size(); i++) {
     EXPECT_EQ(uni.ops[i].violations.size(), sep.ops[i].violations.size());
   }
+}
+
+/// The 8-FD query of the unified-cleaning bench: four FDs share the
+/// address/name/phone groupings pairwise, so coalescing renames their
+/// colliding `vals` aggregations.
+const char* kEightFdQuery = R"(
+  SELECT * FROM customer c
+  FD(c.address, c.nationkey)
+  FD(c.address, prefix(c.phone))
+  FD(c.name, c.nationkey)
+  FD(c.phone, c.nationkey)
+  FD(c.name, c.address)
+  FD(c.phone, c.address)
+  FD(c.name, c.phone)
+  FD(c.custkey, c.nationkey)
+)";
+
+/// A dictionary of every third customer name, under the `name` column the
+/// README query's CLUSTER BY binds.
+Dataset NameDictionary(const Dataset& customers) {
+  const size_t name = customers.schema().IndexOf("name").ValueOrDie();
+  Dataset dict(Schema{{"name", ValueType::kString}});
+  for (size_t i = 0; i < customers.num_rows(); i += 3) {
+    dict.Append({customers.row(i)[name]});
+  }
+  return dict;
+}
+
+TEST(PreparedQueryTest, UnifiedViolationsAreFieldForFieldTheStandaloneOnes) {
+  // Coalescing merges the Nests of FDs that group on the same LHS. Each
+  // unified root must still emit exactly its standalone plan's tuples: its
+  // own RHS values under `vals`, and none of the other FDs' aggregations.
+  const char* readme_query = R"(
+    SELECT * FROM customer c, dictionary d
+    FD(c.address, prefix(c.phone))
+    DEDUP(token filtering, LD, 0.8, c.address)
+    CLUSTER BY(token filtering, LD, 0.8, c.name)
+  )";
+  const Dataset customers = DirtyCustomers();
+  ExecOptions unified;
+  unified.unify_operations = true;
+  ExecOptions separate;
+  separate.unify_operations = false;
+  for (const char* query : {readme_query, kEightFdQuery}) {
+    SCOPED_TRACE(query);
+    CleanDB db(FastOptions());
+    db.RegisterTable("customer", customers);
+    db.RegisterTable("dictionary", NameDictionary(customers));
+    auto prepared = db.Prepare(query);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    const QueryResult uni = prepared.value().Execute(unified).ValueOrDie();
+    const QueryResult sep = prepared.value().Execute(separate).ValueOrDie();
+    size_t violations = 0;
+    for (const auto& op : uni.ops) violations += op.violations.size();
+    EXPECT_GT(violations, 0u);
+    ExpectResultsBitIdentical(uni, sep);
+  }
+
+  // The incremental path serves the unified roots from the shared Nest's
+  // cached groups; after a mutation its re-validation must also match the
+  // standalone plans (run cold on the mutated table).
+  CleanDB db(FastOptions());
+  db.RegisterTable("customer", customers);
+  auto prepared = db.Prepare(kEightFdQuery);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  (void)prepared.value().Execute(unified).ValueOrDie();
+  AppendFreshFdViolation(db, "customer", customers);
+  const QueryResult incremental = prepared.value().Execute(unified).ValueOrDie();
+  EXPECT_EQ(incremental.metrics.incremental_executions, 1u);
+
+  CleanDBOptions cold_options = FastOptions();
+  cold_options.unify_operations = false;
+  CleanDB cold(cold_options);
+  cold.RegisterTable("customer", *db.GetTableShared("customer").ValueOrDie());
+  ExpectSameViolationSets(incremental, cold.Execute(kEightFdQuery).ValueOrDie());
 }
 
 TEST(PreparedQueryTest, NodeCapAndShuffleOverridesPreserveResultsAndRestore) {

@@ -1,7 +1,8 @@
-// Tests for the persistent worker pool: thread reuse across operator
-// dispatches, concurrent metrics accumulation, exception propagation to the
-// driver, destruction with an unwaited epoch in flight, and the nested-Run
-// inline fallback. The asan preset exercises the same binary for races and
+// Tests for the persistent worker pool (one lane of the cluster's thread
+// substrate): thread reuse across operator dispatches, concurrent metrics
+// accumulation, exception propagation to the driver, destruction with an
+// unwaited epoch in flight, the nested-Run inline fallback, and concurrent
+// drivers on one Cluster's lanes. The asan preset exercises the same binary for races and
 // lifetime bugs.
 #include <gtest/gtest.h>
 
@@ -184,24 +185,34 @@ TEST(WorkerPoolTest, AbandonedNestedErrorDoesNotLeakIntoLaterDispatch) {
 }
 
 TEST(WorkerPoolTest, ConcurrentDriversShareThePoolSafely) {
-  // Multiple session threads race Run() on one pool: the driver lock
-  // serializes epochs, TryAcquireDriver lets whoever wins drive, and every
-  // epoch still runs each worker exactly once.
+  // Multiple session threads race RunOnNodes on one Cluster: each call
+  // leases its own lane, so no driver ever adopts another's epoch, every
+  // call still runs each node exactly once, and every task runs on a lane
+  // worker, never on a driver thread.
   constexpr int kDrivers = 4;
   constexpr int kEpochsPerDriver = 50;
-  WorkerPool pool(3);
+  Cluster cluster(testsupport::FastClusterOptions(3));
   std::atomic<int> total{0};
+  std::atomic<int> ran_on_driver{0};
   std::vector<std::thread> drivers;
   drivers.reserve(kDrivers);
   for (int d = 0; d < kDrivers; d++) {
     drivers.emplace_back([&] {
+      const auto me = std::this_thread::get_id();
       for (int e = 0; e < kEpochsPerDriver; e++) {
-        pool.Run([&](size_t) { total++; });
+        std::vector<std::atomic<int>> hits(3);
+        cluster.RunOnNodes([&](size_t n) {
+          hits[n]++;
+          total++;
+          if (std::this_thread::get_id() == me) ran_on_driver++;
+        });
+        for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
       }
     });
   }
   for (auto& t : drivers) t.join();
   EXPECT_EQ(total.load(), kDrivers * kEpochsPerDriver * 3);
+  EXPECT_EQ(ran_on_driver.load(), 0);
 }
 
 TEST(WorkerPoolTest, ClusterRunOnNodesPropagatesWorkerErrors) {
@@ -250,27 +261,6 @@ TEST(WorkerPoolTest, FailedInjectedAttemptsNeverRunTheTaskBody) {
   for (const auto& runs : body_runs) EXPECT_EQ(runs.load(), 1);
   EXPECT_EQ(cluster.metrics().tasks_failed.load(), 2u);
   EXPECT_EQ(cluster.metrics().tasks_retried.load(), 2u);
-}
-
-TEST(WorkerPoolTest, SpawnPerCallModeStillWorks) {
-  ClusterOptions opts = testsupport::FastClusterOptions(4);
-  opts.use_worker_pool = false;  // legacy A/B path
-  Cluster cluster(opts);
-  std::atomic<int> total{0};
-  cluster.RunOnNodes([&](size_t) { total++; });
-  EXPECT_EQ(total.load(), 4);
-}
-
-TEST(WorkerPoolTest, SpawnPerCallModePropagatesExceptions) {
-  // Both substrates share the error contract: a throwing operator closure
-  // surfaces at the call site instead of std::terminate-ing the process.
-  ClusterOptions opts = testsupport::FastClusterOptions(4);
-  opts.use_worker_pool = false;
-  Cluster cluster(opts);
-  EXPECT_THROW(cluster.RunOnNodes([](size_t n) {
-    if (n == 3) throw std::runtime_error("legacy node failure");
-  }),
-               std::runtime_error);
 }
 
 }  // namespace

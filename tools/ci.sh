@@ -32,9 +32,9 @@ for preset in release asan ubsan tsan; do
   echo "=== [$preset] ctest ==="
   # The ubsan and tsan test presets exclude LABELS slow cases (bench/example
   # smokes) via CMakePresets.json — UB coverage comes from the unit/e2e
-  # suites, the tsan leg exists for the concurrency suites (worker pool,
-  # morsel pump, partition cache, session stress), and the slow cases
-  # already run under release and asan.
+  # suites, the tsan leg exists for the concurrency suites (worker lanes,
+  # morsel pump, partition cache, session stress and its thread count),
+  # and the slow cases already run under release and asan.
   ctest --preset "$preset" -j "$JOBS"
 done
 
@@ -42,9 +42,10 @@ done
 # invocation to reproduce locally.
 set -x
 
-# Perf regression gate: the worker-pool dispatch path must stay clearly
-# faster than spawn-per-call (--check exits non-zero past a generous
-# threshold), so the pool can't silently regress back to thread-per-operator.
+# Perf regression gate: worker-lane dispatch must stay clearly faster than
+# the bench's spawn-per-call baseline (--check exits non-zero past a
+# generous threshold), so dispatch can't silently regress back to
+# thread-per-operator.
 # Full (non-smoke) scale: the checked-in BENCH_cluster.json baseline is
 # measured at full scale, so the regression diff below compares like with
 # like.
@@ -57,8 +58,8 @@ set -x
 # re-partitioning; a registered (monoid-annotated) UDF aggregate must stay
 # within 1.3× of the built-in; the registered repair loop must match the
 # hand-rolled cell set; the morsel-driven pipeline must hold peak transient
-# memory ≥4× below the materialize-first path with bit-identical violation
-# sets; under a buffer pool budgeted at 1/8 of the dataset footprint the
+# memory at or below 1/4 of the materialize-first peak pinned in the bench,
+# with violations bit-identical across morsel sizes; under a buffer pool budgeted at 1/8 of the dataset footprint the
 # plan must spill, keep pool residency within the budget, stay within 2× of
 # the in-memory wall-clock, and produce bit-identical violations; with 5%
 # injected task failures the plan must retry its way to bit-identical
