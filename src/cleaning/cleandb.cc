@@ -390,23 +390,13 @@ std::vector<std::string> CleanDB::SampleCenters(const std::string& table,
   return ReservoirSample(values, k, options_.filtering.seed);
 }
 
-Result<OpResult> CleanDB::RunProgrammaticOp(CleaningPlan cp) {
-  // A programmatic op is exactly a one-operation prepared query executed
-  // once: wrap the plan in a transient PreparedQuery and run it through the
-  // shared ExecutePrepared path (snapshot, admission, config lock, metrics
-  // scope, out-of-core wiring, sink emission — one code path, not two).
-  // Cache persistence is off because the plan's nodes are never seen again;
-  // incremental_ stays null, so these one-shots never take the delta path.
-  PreparedQuery pq;
-  pq.db_ = this;
-  pq.status_ = Status::OK();
-  pq.unified_roots_ = {cp.plan};
-  pq.plans_.push_back(std::move(cp));
+Result<OpResult> CleanDB::RunProgrammaticOp(PreparedQuery pq) {
+  // Cache persistence is off because the plan's nodes are never seen again.
   pq.persist_cache_ = false;
   QueryResultSink sink;
   CLEANM_RETURN_NOT_OK(ExecutePrepared(pq, ExecOptions{}, sink, &sink.result()));
   if (sink.result().ops.empty()) {
-    return Status::Internal("programmatic op produced no operation result");
+    return Status::Internal("one-shot op produced no operation result");
   }
   return std::move(sink.result().ops.front());
 }
@@ -426,24 +416,17 @@ Result<QueryResult> CleanDB::ExecuteQuery(const CleanMQuery& query) {
 Result<OpResult> CleanDB::CheckFd(const std::string& table, const std::string& var,
                                   const FdClause& fd) {
   CLEANM_ASSIGN_OR_RETURN(CleaningPlan cp, BuildFdPlan(table, var, fd));
-  return RunProgrammaticOp(std::move(cp));
+  return RunProgrammaticOp(SingleOpQuery(std::move(cp)));
 }
 
 Result<OpResult> CleanDB::CheckDenialConstraint(const std::string& table, ExprPtr pred,
                                                 ExprPtr prefilter) {
   // Thin wrapper over the prepared lifecycle: the DC plan is built by
-  // PrepareDenialConstraint and executed once, with cache persistence off
-  // like every other one-shot.
+  // PrepareDenialConstraint and executed once like every other one-shot.
   CLEANM_ASSIGN_OR_RETURN(
       PreparedQuery pq,
       PrepareDenialConstraint(table, std::move(pred), std::move(prefilter)));
-  pq.persist_cache_ = false;
-  QueryResultSink sink;
-  CLEANM_RETURN_NOT_OK(ExecutePrepared(pq, ExecOptions{}, sink, &sink.result()));
-  if (sink.result().ops.empty()) {
-    return Status::Internal("denial constraint produced no operation result");
-  }
-  return std::move(sink.result().ops.front());
+  return RunProgrammaticOp(std::move(pq));
 }
 
 Result<OpResult> CleanDB::Deduplicate(const std::string& table, const std::string& var,
@@ -457,7 +440,7 @@ Result<OpResult> CleanDB::Deduplicate(const std::string& table, const std::strin
   }
   CLEANM_ASSIGN_OR_RETURN(
       CleaningPlan cp, BuildDedupPlan(table, var, dedup, fopts, std::move(centers)));
-  return RunProgrammaticOp(std::move(cp));
+  return RunProgrammaticOp(SingleOpQuery(std::move(cp)));
 }
 
 Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
@@ -510,7 +493,7 @@ Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
     UnregisterTable(tmp_name);
     return build.status();
   }
-  auto result = RunProgrammaticOp(build.MoveValue());
+  auto result = RunProgrammaticOp(SingleOpQuery(build.MoveValue()));
   UnregisterTable(tmp_name);
   return result;
 }

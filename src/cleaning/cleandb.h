@@ -327,13 +327,16 @@ class CleanDB {
   };
   TableSnapshot SnapshotTables() const;
 
-  /// Shared execution wrapper of the programmatic ops: wraps `cp` in a
-  /// transient single-operation PreparedQuery and runs it through
-  /// ExecutePrepared — the same code path (snapshot, admission, config
-  /// lock, metrics scope, sink emission) as Prepare→Execute, with cache
-  /// persistence off so the throwaway plan's Nest outputs never pollute
-  /// the session cache.
-  Result<OpResult> RunProgrammaticOp(CleaningPlan cp);
+  /// A single-operation PreparedQuery over `cp`, bound to this session.
+  /// Defined in prepared_query.cc.
+  PreparedQuery SingleOpQuery(CleaningPlan cp);
+  /// Shared execution tail of the one-shot ops (the programmatic ops and
+  /// CheckDenialConstraint): runs `pq` once through ExecutePrepared — the
+  /// same code path (snapshot, admission, config lock, metrics scope, sink
+  /// emission) as Prepare→Execute, with cache persistence off so the
+  /// throwaway plan's Nest outputs never pollute the session cache — and
+  /// returns its single operation's result.
+  Result<OpResult> RunProgrammaticOp(PreparedQuery pq);
   /// Shared Prepare body; `query_text` (when available) positions the
   /// kKeyError of an unknown function / arity mismatch at the recorded
   /// call offset. Defined in prepared_query.cc.

@@ -3,9 +3,9 @@
 // generations without re-running the engine.
 //
 // Eligibility is structural and all-or-nothing per prepared query: every
-// active plan root must peel — through Select / Unnest / OuterUnnest /
-// Project transforms only — down to an exact-key Nest whose input is directly a
-// Scan (the FD / DEDUP / user-GROUP-BY shapes, standalone or coalesced).
+// active plan root's TransformSource (physical/planner.h) must be an
+// exact-key Nest whose input is directly a Scan (the FD / DEDUP /
+// user-GROUP-BY shapes, standalone or coalesced).
 // Join-rooted plans (denial constraints, CLUSTER BY), Reduce roots, and
 // grouping-monoid Nests (token filtering / k-means redistribute rows across
 // groups non-locally) fall back to the full engine path — which still
@@ -18,10 +18,13 @@
 // Equals-matching member and force a re-fold of the group's accumulators
 // from the member bag (sidestepping monoid invertibility — subtractive
 // re-grouping of exactly the affected keys); added rows merge fresh units
-// into a DeepCopy of the cached accumulator. Touched groups are
-// re-finalized and re-chained; the per-operation diff is emitted through
-// ViolationSink::OnViolationRetracted / OnViolationNew so
-// (previous − retracted + new) equals a cold full re-execution. Any
+// into a DeepCopy of the cached accumulator. That state and the diff are
+// all the validator owns: touched groups are re-finalized and run through
+// the executor's own CompileTransforms expansion of the root, and the
+// report goes through the engine path's ViolationReport — retractions via
+// ViolationSink::OnViolationRetracted, new violations tagged
+// OnViolationNew — so (previous − retracted + new) equals a cold full
+// re-execution. Any
 // inconsistency (non-contiguous delta coverage, a removed row the state
 // never saw, a closed major epoch) resets the affected state and reports
 // kIneligible, and the caller runs the ordinary engine path.
@@ -41,13 +44,6 @@
 #include "physical/planner.h"
 
 namespace cleanm {
-
-struct IncrementalValueHash {
-  size_t operator()(const Value& v) const { return static_cast<size_t>(v.Hash()); }
-};
-struct IncrementalValueEq {
-  bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
-};
 
 /// One cached group of an exact-key Nest: the member bag (wrapped
 /// {var: record} tuples in insertion order) and the merged accumulator
@@ -71,9 +67,7 @@ struct IncrementalNestState {
   /// First-occurrence key order — the engine's group-order determinism
   /// contract, preserved so emission order is reproducible.
   std::vector<Value> key_order;
-  std::unordered_map<Value, IncrementalGroup, IncrementalValueHash,
-                     IncrementalValueEq>
-      groups;
+  std::unordered_map<Value, IncrementalGroup, ValueHash, ValueEq> groups;
 };
 
 /// Cached per-operation outputs (post-finalize, post-transform-chain,
@@ -82,9 +76,7 @@ struct IncrementalNestState {
 struct IncrementalOpState {
   const AlgOp* nest = nullptr;
   uint64_t version = 0;
-  std::unordered_map<Value, std::vector<Value>, IncrementalValueHash,
-                     IncrementalValueEq>
-      outputs;
+  std::unordered_map<Value, std::vector<Value>, ValueHash, ValueEq> outputs;
 };
 
 /// \brief Mutable incremental cache of one PreparedQuery, shared across its

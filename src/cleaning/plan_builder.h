@@ -85,9 +85,10 @@ ExprPtr FdComprehension(const std::string& table, const std::string& var,
 /// the same violating pair can surface once per shared group, and only its
 /// first occurrence must reach the sink.
 ///
-/// The seen-set persists across calls, so the morsel-at-a-time pipelined
-/// path and the whole-output materializing path apply the identical dedup
-/// — morsel boundaries cannot change which violations are emitted.
+/// The seen-set persists across calls, so morsel boundaries cannot change
+/// which violations are emitted. ViolationReport (cleaning/violation_sink.h)
+/// applies it per operation on both the engine path and the incremental
+/// path.
 class ViolationDeduper {
  public:
   explicit ViolationDeduper(const CleaningPlan& cp) : cp_(&cp) {}
@@ -104,9 +105,8 @@ class ViolationDeduper {
 /// Walks a cleaning plan's output (a list Value of tuples), deduplicated
 /// on the operation's entity projection via ViolationDeduper. Calls `emit`
 /// for each kept violation; a non-OK status from `emit` stops the walk and
-/// is returned. Shared by the materializing (RunCleaningPlan) and
-/// streaming (ExecutePrepared) consumption paths so the dedup semantics
-/// cannot diverge.
+/// is returned. For callers holding a whole plan output (e.g. a reference
+/// evaluator result) that need the sink's dedup semantics.
 Status ForEachDedupedViolation(const Value& plan_output, const CleaningPlan& cp,
                                const std::function<Status(const Value&)>& emit);
 

@@ -347,6 +347,17 @@ Result<PreparedQuery> CleanDB::PrepareQueryImpl(const CleanMQuery& query,
   return pq;
 }
 
+PreparedQuery CleanDB::SingleOpQuery(CleaningPlan cp) {
+  // incremental_ stays null unless the caller allocates it, so the
+  // programmatic ops never take the delta path.
+  PreparedQuery pq;
+  pq.db_ = this;
+  pq.status_ = Status::OK();
+  pq.unified_roots_ = {cp.plan};
+  pq.plans_.push_back(std::move(cp));
+  return pq;
+}
+
 Result<PreparedQuery> CleanDB::PrepareDenialConstraint(const std::string& table,
                                                        ExprPtr pred,
                                                        ExprPtr prefilter) {
@@ -359,11 +370,7 @@ Result<PreparedQuery> CleanDB::PrepareDenialConstraint(const std::string& table,
   cp.plan = std::move(join);
   cp.entity_vars = {"t1", "t2"};
 
-  PreparedQuery pq;
-  pq.db_ = this;
-  pq.status_ = Status::OK();
-  pq.unified_roots_ = {cp.plan};
-  pq.plans_.push_back(std::move(cp));
+  PreparedQuery pq = SingleOpQuery(std::move(cp));
   // Join-rooted, so always incrementally ineligible — but allocating keeps
   // the eligibility decision in one place (the validator).
   pq.incremental_ = std::make_shared<IncrementalState>();
@@ -487,9 +494,15 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
 
   // FIFO admission against the session's in-flight byte budget (no-op when
   // unlimited). Charged before any engine work starts; released on every
-  // exit path.
-  const uint64_t admitted = AdmitExecution(opts.admission_bytes.value_or(
-      EstimateAdmissionBytes(pq.plans_, snapshot.catalog)));
+  // exit path. The estimate walks every scanned table's bytes, so it is
+  // computed only when a budget applies and no override names the charge.
+  uint64_t admission_bytes = 0;
+  if (options_.max_inflight_bytes > 0) {
+    admission_bytes = opts.admission_bytes
+                          ? *opts.admission_bytes
+                          : EstimateAdmissionBytes(pq.plans_, snapshot.catalog);
+  }
+  const uint64_t admitted = AdmitExecution(admission_bytes);
   struct AdmissionRelease {
     CleanDB* db;
     uint64_t bytes;
@@ -583,16 +596,6 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   exec.spill = spill ? &*spill : nullptr;
   exec.delta_scan = knobs.incremental;
 
-  // The unified violation report: entity → operations it violates (the
-  // Section-4.4 outer join), built incrementally as violations stream.
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-  struct ValueEq {
-    bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
-  };
-  std::unordered_map<Value, std::vector<std::string>, ValueHash, ValueEq> entities;
-
   const size_t morsel_rows = std::max<size_t>(1, knobs.morsel_rows);
 
   // The engine propagates worker failures as exceptions (see
@@ -620,35 +623,13 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
     CLEANM_RETURN_NOT_OK(inc.status());
     if (inc.value() == IncrementalRun::kRan) return Status::OK();
   }
+  // The unified violation report (dedup, op summaries, the Section-4.4
+  // entity → operations outer join), built as violations stream.
+  ViolationReport report(sink);
   for (size_t i = 0; i < pq.plans_.size(); i++) {
     const CleaningPlan& cp = pq.plans_[i];
-    Timer op_timer;
     const AlgOpPtr& root = unify ? pq.unified_roots_[i] : cp.plan;
-
-    CLEANM_RETURN_NOT_OK(sink.OnOpBegin(cp.op_name));
-    size_t emitted = 0;
-    ViolationDeduper dedup(cp);
-    auto emit_violation = [&](const Value& v) -> Status {
-      if (!dedup.ShouldEmit(v)) return Status::OK();
-      CLEANM_RETURN_NOT_OK(sink.OnViolation(cp.op_name, v));
-      emitted++;
-      for (const auto& var : cp.entity_vars) {
-        auto field = v.GetField(var);
-        if (!field.ok()) continue;
-        const Value& entity = field.value();
-        auto add = [&](const Value& e) {
-          auto& ops = entities[e];
-          if (ops.empty() || ops.back() != cp.op_name) ops.push_back(cp.op_name);
-        };
-        if (entity.type() == ValueType::kList) {
-          for (const auto& e : entity.AsList()) add(e);
-        } else {
-          add(entity);
-        }
-      }
-      return Status::OK();
-    };
-
+    CLEANM_RETURN_NOT_OK(report.BeginOp(cp));
     if (root->kind != AlgKind::kReduce) {
       // Operator-level pipelining below the sink: violations reach the
       // sink as each morsel completes, so a sink error (early abort) stops
@@ -657,7 +638,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
       CLEANM_RETURN_NOT_OK(exec.RunPipelined(
           root, morsel_rows, [&](size_t, engine::Partition&& morsel) -> Status {
             for (const auto& row : morsel) {
-              CLEANM_RETURN_NOT_OK(emit_violation(PhysicalTupleOf(row)));
+              CLEANM_RETURN_NOT_OK(report.Emit(PhysicalTupleOf(row)));
             }
             return Status::OK();
           }));
@@ -667,21 +648,12 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
       // side only.
       CLEANM_ASSIGN_OR_RETURN(Value out, exec.RunToValue(root, morsel_rows));
       for (const auto& v : out.AsList()) {
-        CLEANM_RETURN_NOT_OK(emit_violation(v));
+        CLEANM_RETURN_NOT_OK(report.Emit(v));
       }
     }
-
-    OpSummary op_summary;
-    op_summary.op_name = cp.op_name;
-    op_summary.violations = emitted;
-    op_summary.seconds = op_timer.ElapsedSeconds();
-    CLEANM_RETURN_NOT_OK(sink.OnOpEnd(op_summary));
+    CLEANM_RETURN_NOT_OK(report.EndOp());
   }
-
-  for (const auto& [entity, ops] : entities) {
-    CLEANM_RETURN_NOT_OK(sink.OnDirtyEntity(entity, ops));
-  }
-  return Status::OK();
+  return report.Finish();
   };
 
   Status status;

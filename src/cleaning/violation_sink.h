@@ -17,11 +17,14 @@
 // ExecuteInto's return value (early exit, e.g. "first 100 violations").
 #pragma once
 
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cleaning/cleandb.h"
 #include "common/status.h"
+#include "common/timer.h"
 #include "storage/value.h"
 
 namespace cleanm {
@@ -88,6 +91,38 @@ class ViolationSink {
   virtual Status OnViolationNew(const std::string& op_name, const Value& violation) {
     return OnViolation(op_name, violation);
   }
+};
+
+/// \brief Drives the sink protocol of one execution. Both execution paths
+/// (the engine loop and the incremental validator) report through it, so
+/// dedup, tagging, op summaries and the unified report cannot diverge.
+///
+/// Per operation: BeginOp, one Emit per produced violation, EndOp. Emit
+/// applies the operation's entity-projection dedup (ViolationDeduper),
+/// delivers a kept violation as OnViolation (or OnViolationNew when
+/// `is_new`), and records its entities. Finish delivers the Section-4.4
+/// outer join: one OnDirtyEntity per recorded entity, with the operations
+/// it violates in the order they ran. Retractions bypass the report (no
+/// dedup: each names a concrete previously emitted tuple) and go to
+/// ViolationSink::OnViolationRetracted directly.
+class ViolationReport {
+ public:
+  explicit ViolationReport(ViolationSink& sink) : sink_(sink) {}
+
+  /// Opens `cp` (which must outlive the operation) and resets its timer.
+  Status BeginOp(const CleaningPlan& cp);
+  Status Emit(const Value& violation, bool is_new = false);
+  /// Closes the open operation with its emitted count and elapsed time.
+  Status EndOp();
+  Status Finish();
+
+ private:
+  ViolationSink& sink_;
+  const CleaningPlan* cp_ = nullptr;
+  std::optional<ViolationDeduper> dedup_;
+  size_t emitted_ = 0;
+  Timer op_timer_;
+  std::unordered_map<Value, std::vector<std::string>, ValueHash, ValueEq> entities_;
 };
 
 /// \brief The materializing sink: accumulates everything into a

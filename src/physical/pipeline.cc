@@ -7,9 +7,11 @@
 //
 //   MorselSource → Transform* → SinkDriver
 //
-// A plan decomposes from the root downward: Select / Unnest / Project
-// stages compose into one per-row expansion (no intermediate buffers at
-// all), and the walk stops at a pipeline *breaker* — Scan (resident in the
+// A plan decomposes from the root downward: CompileTransforms composes the
+// Select / Unnest / Project stages into one per-row expansion (no
+// intermediate buffers at all; the incremental validator runs the same
+// expansion over re-finalized groups), and the walk stops at
+// TransformSource, a pipeline *breaker* — Scan (resident in the
 // session cache), Nest (aggregation; consumes its own input morsel-wise
 // via engine::MorselAggregator, so even the keyed expansion never
 // materializes), Join (shuffle-backed; its inputs and output materialize
@@ -39,72 +41,6 @@ using engine::Partition;
 using engine::Partitioned;
 
 using engine::PartitionedLogicalBytes;
-
-/// Continuation consuming one tuple of a transform stage.
-using TupleCont = Executor::TupleSink;
-
-/// Composes the root-first transform chain into a single per-row expansion:
-/// data flows source → chain.back() → ... → chain.front() → terminal, so
-/// the continuation is built from the top down. Select filters; Unnest
-/// expands with the padding/branching of the reference evaluator; Project
-/// rebuilds the tuple from its columns.
-Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain,
-                                          const std::vector<AlgOpPtr>& chain_inputs,
-                                          const CompileEnv& env, TupleCont terminal) {
-  TupleCont k = std::move(terminal);
-  if (!k) {
-    k = [](Value t, Partition* out) {
-      out->push_back(MakePhysicalTuple(std::move(t)));
-    };
-  }
-  for (size_t i = 0; i < chain.size(); i++) {  // i = 0 is the root stage
-    const AlgOp* op = chain[i];
-    const TupleLayout layout = CollectVars(chain_inputs[i]);
-    TupleCont inner = std::move(k);
-    if (op->kind == AlgKind::kSelect) {
-      CLEANM_ASSIGN_OR_RETURN(auto pred, CompilePredicate(op->pred, layout, env));
-      k = [pred, inner](Value t, Partition* out) {
-        if (pred(t)) inner(std::move(t), out);
-      };
-    } else if (op->kind == AlgKind::kProject) {
-      const std::vector<ProjectColumn> columns = op->columns;
-      k = [columns, inner](Value t, Partition* out) {
-        inner(ProjectTuple(t, columns), out);
-      };
-    } else {  // kUnnest / kOuterUnnest
-      CLEANM_ASSIGN_OR_RETURN(CompiledExpr path, CompileExpr(op->path, layout, env));
-      const std::string var = op->path_var;
-      const bool outer = op->kind == AlgKind::kOuterUnnest;
-      k = [path, var, outer, inner](Value t, Partition* out) {
-        const Value coll = path(t);
-        auto pad = [&](Value element) {
-          ValueStruct padded = t.AsStruct();
-          padded.emplace_back(var, std::move(element));
-          inner(Value(std::move(padded)), out);
-        };
-        if (coll.is_null() ||
-            (coll.type() == ValueType::kList && coll.AsList().empty())) {
-          if (outer) pad(Value::Null());
-          return;
-        }
-        if (coll.type() != ValueType::kList) {
-          pad(coll);  // scalar behaves as singleton (XML-style nesting)
-          return;
-        }
-        for (const auto& element : coll.AsList()) pad(element);
-      };
-    }
-  }
-  TupleCont final_k = std::move(k);
-  return engine::MorselExpand([final_k](size_t, const Row& r, Partition* out) {
-    final_k(PhysicalTupleOf(r), out);
-  });
-}
-
-bool IsTransform(AlgKind kind) {
-  return kind == AlgKind::kSelect || kind == AlgKind::kUnnest ||
-         kind == AlgKind::kOuterUnnest || kind == AlgKind::kProject;
-}
 
 /// Wraps a segment's per-row expansion with the poison-row quarantine: a
 /// row whose compiled expression or UDF throws is recorded (source label,
@@ -161,9 +97,8 @@ std::string SegmentSourceLabel(const AlgOp& source) {
 /// Source label for a plan that feeds a Nest: the breaker beneath its
 /// transform chain.
 std::string SourceLabelOf(const AlgOpPtr& plan) {
-  const AlgOp* cur = plan.get();
-  while (cur != nullptr && IsTransform(cur->kind)) cur = cur->input.get();
-  return cur != nullptr ? SegmentSourceLabel(*cur) : "plan";
+  const AlgOpPtr& source = TransformSource(plan);
+  return source ? SegmentSourceLabel(*source) : "plan";
 }
 
 /// The Nest-fold half of the quarantine: expressions compiled into the
@@ -215,6 +150,71 @@ Result<Executor::PipelineSegment> CollectInput(Executor* ex, const AlgOpPtr& pla
 }
 
 }  // namespace
+
+bool IsTransform(AlgKind kind) {
+  return kind == AlgKind::kSelect || kind == AlgKind::kUnnest ||
+         kind == AlgKind::kOuterUnnest || kind == AlgKind::kProject;
+}
+
+const AlgOpPtr& TransformSource(const AlgOpPtr& plan) {
+  const AlgOpPtr* cur = &plan;
+  while (*cur && IsTransform((*cur)->kind)) cur = &(*cur)->input;
+  return *cur;
+}
+
+Result<engine::MorselExpand> CompileTransforms(const AlgOpPtr& plan,
+                                               const CompileEnv& env,
+                                               TupleSink terminal) {
+  // Data flows source → ... → plan → terminal, so the continuation is built
+  // from the top down: each stage wraps the one above it.
+  TupleSink k = std::move(terminal);
+  if (!k) {
+    k = [](Value t, Partition* out) {
+      out->push_back(MakePhysicalTuple(std::move(t)));
+    };
+  }
+  for (const AlgOp* op = plan.get(); op != nullptr && IsTransform(op->kind);
+       op = op->input.get()) {
+    const TupleLayout layout = CollectVars(op->input);
+    TupleSink inner = std::move(k);
+    if (op->kind == AlgKind::kSelect) {
+      CLEANM_ASSIGN_OR_RETURN(auto pred, CompilePredicate(op->pred, layout, env));
+      k = [pred, inner](Value t, Partition* out) {
+        if (pred(t)) inner(std::move(t), out);
+      };
+    } else if (op->kind == AlgKind::kProject) {
+      const std::vector<ProjectColumn> columns = op->columns;
+      k = [columns, inner](Value t, Partition* out) {
+        inner(ProjectTuple(t, columns), out);
+      };
+    } else {  // kUnnest / kOuterUnnest
+      CLEANM_ASSIGN_OR_RETURN(CompiledExpr path, CompileExpr(op->path, layout, env));
+      const std::string var = op->path_var;
+      const bool outer = op->kind == AlgKind::kOuterUnnest;
+      k = [path, var, outer, inner](Value t, Partition* out) {
+        const Value coll = path(t);
+        auto pad = [&](Value element) {
+          ValueStruct padded = t.AsStruct();
+          padded.emplace_back(var, std::move(element));
+          inner(Value(std::move(padded)), out);
+        };
+        if (coll.is_null() ||
+            (coll.type() == ValueType::kList && coll.AsList().empty())) {
+          if (outer) pad(Value::Null());
+          return;
+        }
+        if (coll.type() != ValueType::kList) {
+          pad(coll);  // scalar behaves as singleton (XML-style nesting)
+          return;
+        }
+        for (const auto& element : coll.AsList()) pad(element);
+      };
+    }
+  }
+  return engine::MorselExpand([k](size_t, const Row& r, Partition* out) {
+    k(PhysicalTupleOf(r), out);
+  });
+}
 
 Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
                                              size_t morsel_rows) {
@@ -304,15 +304,8 @@ Result<Executor::PipelineSegment> Executor::BuildSegment(const AlgOpPtr& plan,
   if (!plan) return Status::Internal("null physical plan");
   if (!cache) return Status::Internal("Executor has no partition cache");
 
-  std::vector<const AlgOp*> chain;        // root-first transform stages
-  std::vector<AlgOpPtr> chain_inputs;     // their inputs (layout anchors)
-  const AlgOpPtr* cur = &plan;
-  while (IsTransform((*cur)->kind)) {
-    chain.push_back(cur->get());
-    chain_inputs.push_back((*cur)->input);
-    cur = &(*cur)->input;
-  }
-  const AlgOpPtr& source = *cur;
+  const AlgOpPtr& source = TransformSource(plan);
+  if (!source) return Status::Internal("transform chain has no source");
 
   PipelineSegment seg;
   switch (source->kind) {
@@ -358,22 +351,13 @@ Result<Executor::PipelineSegment> Executor::BuildSegment(const AlgOpPtr& plan,
       return Status::Internal("unhandled pipeline source kind");
   }
 
-  if (chain.empty() && !terminal) {
+  if (source == plan && !terminal) {
     // Identity passthrough cannot throw per-row — no quarantine wrap needed.
     seg.identity = true;
     seg.expand = [](size_t, const Row& r, Partition* out) { out->push_back(r); };
     return seg;
   }
-  if (chain.empty()) {
-    // Terminal only: apply the consumer's continuation to each source row.
-    TupleSink sink = std::move(terminal);
-    seg.expand = [sink](size_t, const Row& r, Partition* out) {
-      sink(PhysicalTupleOf(r), out);
-    };
-  } else {
-    CLEANM_ASSIGN_OR_RETURN(
-        seg.expand, CompileChain(chain, chain_inputs, Env(), std::move(terminal)));
-  }
+  CLEANM_ASSIGN_OR_RETURN(seg.expand, CompileTransforms(plan, Env(), std::move(terminal)));
   if (quarantine) {
     seg.expand = WithQuarantine(std::move(seg.expand), SegmentSourceLabel(*source),
                                 cluster->num_nodes(), quarantine);

@@ -38,6 +38,31 @@ namespace cleanm {
 class BufferPool;
 class SpillContext;
 
+/// Terminal continuation of a compiled transform chain: consumes each
+/// produced tuple.
+using TupleSink = std::function<void(Value, engine::Partition*)>;
+
+/// True for the row-wise operators a pipeline segment fuses into one per-row
+/// expansion: Select, Unnest, OuterUnnest, Project.
+bool IsTransform(AlgKind kind);
+
+/// The first operator at or under `plan` that is not a transform: the
+/// source (breaker or scan) a pipeline segment streams from.
+const AlgOpPtr& TransformSource(const AlgOpPtr& plan);
+
+/// Compiles the transforms from `plan` down to TransformSource(plan) into
+/// one per-row expansion over the source's physical rows. Select filters;
+/// Unnest expands with the padding/branching of the reference evaluator (a
+/// null or empty collection pads Null only under OuterUnnest, a non-list
+/// scalar behaves as a singleton); Project rebuilds the tuple from its
+/// columns. `terminal` consumes each produced tuple (default: append it as
+/// a physical row). This is the only definition of the transforms'
+/// per-row semantics: the executor's segments and the incremental
+/// validator both run it.
+Result<engine::MorselExpand> CompileTransforms(const AlgOpPtr& plan,
+                                               const CompileEnv& env,
+                                               TupleSink terminal = nullptr);
+
 /// Knobs distinguishing CleanDB from the baseline systems.
 struct PhysicalOptions {
   engine::AggregateStrategy aggregate_strategy =
@@ -199,10 +224,6 @@ struct Executor {
 
   /// Compiles a Nest node's grouping expansion + aggregation spec.
   Result<CompiledNest> CompileNestStage(const AlgOpPtr& plan);
-
-  /// Terminal continuation of a compiled transform chain: consumes each
-  /// produced tuple (pipeline.cc; defaults to "append as a physical row").
-  using TupleSink = std::function<void(Value, engine::Partition*)>;
 
   /// Decomposes `plan` into a pipeline segment (pipeline.cc). A custom
   /// `terminal` fuses the consumer into the chain — breakers use it to

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -845,7 +846,8 @@ TEST(PreparedQueryTest, PinnedPartitioningsSurviveMinorBumps) {
 }
 
 TEST(PreparedQueryTest, RetractionsAndNewTagsReconcileWithColdExecution) {
-  /// Records the retraction-tagged stream (canonically normalized).
+  /// Records the retraction-tagged stream (canonically normalized), the
+  /// per-operation summaries, and the unified dirty-entity report.
   class DeltaRecordingSink : public ViolationSink {
    public:
     Status OnViolation(const std::string& op, const Value& v) override {
@@ -860,12 +862,19 @@ TEST(PreparedQueryTest, RetractionsAndNewTagsReconcileWithColdExecution) {
       fresh.push_back(op + "|" + CanonicalString(v));
       return OnViolation(op, v);
     }
-    Status OnDirtyEntity(const Value&, const std::vector<std::string>&) override {
-      dirty++;
+    Status OnOpEnd(const OpSummary& summary) override {
+      op_violations.emplace_back(summary.op_name, summary.violations);
+      return Status::OK();
+    }
+    Status OnDirtyEntity(const Value& entity,
+                         const std::vector<std::string>& ops) override {
+      EXPECT_TRUE(dirty.emplace(CanonicalString(entity), ops).second)
+          << "entity reported twice: " << CanonicalString(entity);
       return Status::OK();
     }
     std::vector<std::string> current, retracted, fresh;
-    size_t dirty = 0;
+    std::vector<std::pair<std::string, size_t>> op_violations;
+    std::map<std::string, std::vector<std::string>> dirty;
   };
 
   // A hand-built table where every group is known: address "A" violates the
@@ -877,66 +886,83 @@ TEST(PreparedQueryTest, RetractionsAndNewTagsReconcileWithColdExecution) {
   t.Append({Value("a2"), Value("A"), Value(int64_t{2})});
   t.Append({Value("b1"), Value("B"), Value(int64_t{3})});
   t.Append({Value("b2"), Value("B"), Value(int64_t{3})});
+  // The FD root runs a Project/Select chain, the exact DEDUP root an
+  // Unnest/Unnest/Select chain; both are incrementally eligible.
   const char* query = R"(
     SELECT * FROM customer c
     FD(c.address, c.nationkey)
     DEDUP(exact, c.address)
   )";
 
-  CleanDB db(FastOptions());
-  db.RegisterTable("customer", t);
-  auto prepared = db.Prepare(query);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  PreparedQuery& pq = prepared.value();
+  for (const bool unify : {true, false}) {
+    SCOPED_TRACE(unify ? "unify on" : "unify off");
+    ExecOptions opts;
+    opts.unify_operations = unify;
+    CleanDB db(FastOptions());
+    db.RegisterTable("customer", t);
+    auto prepared = db.Prepare(query);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    PreparedQuery& pq = prepared.value();
 
-  DeltaRecordingSink cold_sink;
-  ASSERT_TRUE(pq.ExecuteInto(cold_sink).ok());
-  EXPECT_TRUE(cold_sink.retracted.empty());
-  EXPECT_TRUE(cold_sink.fresh.empty());
-  ASSERT_FALSE(cold_sink.current.empty());
+    DeltaRecordingSink cold_sink;
+    ASSERT_TRUE(pq.ExecuteInto(cold_sink, opts).ok());
+    EXPECT_TRUE(cold_sink.retracted.empty());
+    EXPECT_TRUE(cold_sink.fresh.empty());
+    ASSERT_FALSE(cold_sink.current.empty());
 
-  // Fix the FD violation on "A" (a2's nationkey joins the majority) and
-  // inject a brand-new violating group "C".
-  ASSERT_TRUE(db.UpdateRows(
-                    "customer",
-                    [](const Schema&, const Row& r) {
-                      return r[0].Equals(Value(std::string("a2")));
-                    },
-                    ValueStruct{{"nationkey", Value(int64_t{1})}})
-                  .ok());
-  ASSERT_TRUE(db.AppendRows("customer", {{Value("c1"), Value("C"), Value(int64_t{7})},
-                                         {Value("c2"), Value("C"), Value(int64_t{8})}})
-                  .ok());
+    // Fix the FD violation on "A" (a2's nationkey joins the majority) and
+    // inject a brand-new violating group "C".
+    ASSERT_TRUE(db.UpdateRows(
+                      "customer",
+                      [](const Schema&, const Row& r) {
+                        return r[0].Equals(Value(std::string("a2")));
+                      },
+                      ValueStruct{{"nationkey", Value(int64_t{1})}})
+                    .ok());
+    ASSERT_TRUE(
+        db.AppendRows("customer", {{Value("c1"), Value("C"), Value(int64_t{7})},
+                                   {Value("c2"), Value("C"), Value(int64_t{8})}})
+            .ok());
 
-  DeltaRecordingSink delta_sink;
-  ASSERT_TRUE(pq.ExecuteInto(delta_sink).ok());
-  EXPECT_FALSE(delta_sink.retracted.empty());
-  EXPECT_FALSE(delta_sink.fresh.empty());
+    const uint64_t incremental_before =
+        db.cluster().session_metrics().incremental_executions.load();
+    DeltaRecordingSink delta_sink;
+    ASSERT_TRUE(pq.ExecuteInto(delta_sink, opts).ok());
+    EXPECT_EQ(db.cluster().session_metrics().incremental_executions.load(),
+              incremental_before + 1);
+    EXPECT_FALSE(delta_sink.retracted.empty());
+    EXPECT_FALSE(delta_sink.fresh.empty());
 
-  // The incremental contract: previous − retracted + new == current, as
-  // multisets (and `current` is the full post-mutation violation set).
-  std::vector<std::string> merged = cold_sink.current;
-  for (const auto& r : delta_sink.retracted) {
-    auto it = std::find(merged.begin(), merged.end(), r);
-    ASSERT_NE(it, merged.end()) << "retraction of a never-emitted violation: " << r;
-    merged.erase(it);
+    // The incremental contract: previous − retracted + new == current, as
+    // multisets (and `current` is the full post-mutation violation set).
+    std::vector<std::string> merged = cold_sink.current;
+    for (const auto& r : delta_sink.retracted) {
+      auto it = std::find(merged.begin(), merged.end(), r);
+      ASSERT_NE(it, merged.end()) << "retraction of a never-emitted violation: " << r;
+      merged.erase(it);
+    }
+    merged.insert(merged.end(), delta_sink.fresh.begin(), delta_sink.fresh.end());
+    std::sort(merged.begin(), merged.end());
+    std::vector<std::string> current = delta_sink.current;
+    std::sort(current.begin(), current.end());
+    EXPECT_EQ(merged, current);
+
+    // And the whole incremental report — violations, per-operation counts,
+    // and the entity → operations join — matches a cold execution over the
+    // mutated table.
+    CleanDB cold(FastOptions());
+    cold.RegisterTable("customer", *db.GetTableShared("customer").ValueOrDie());
+    auto cold_prepared = cold.Prepare(query);
+    ASSERT_TRUE(cold_prepared.ok());
+    DeltaRecordingSink cold_after;
+    ASSERT_TRUE(cold_prepared.value().ExecuteInto(cold_after, opts).ok());
+    std::vector<std::string> expected = cold_after.current;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(current, expected);
+    EXPECT_EQ(delta_sink.op_violations, cold_after.op_violations);
+    EXPECT_EQ(delta_sink.dirty, cold_after.dirty);
+    EXPECT_FALSE(delta_sink.dirty.empty());
   }
-  merged.insert(merged.end(), delta_sink.fresh.begin(), delta_sink.fresh.end());
-  std::sort(merged.begin(), merged.end());
-  std::vector<std::string> current = delta_sink.current;
-  std::sort(current.begin(), current.end());
-  EXPECT_EQ(merged, current);
-
-  // And `current` matches a cold execution over the mutated table.
-  CleanDB cold(FastOptions());
-  cold.RegisterTable("customer", *db.GetTableShared("customer").ValueOrDie());
-  auto cold_prepared = cold.Prepare(query);
-  ASSERT_TRUE(cold_prepared.ok());
-  DeltaRecordingSink cold_after;
-  ASSERT_TRUE(cold_prepared.value().ExecuteInto(cold_after).ok());
-  std::vector<std::string> expected = cold_after.current;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(current, expected);
 }
 
 TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
