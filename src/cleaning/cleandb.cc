@@ -54,7 +54,6 @@ CleanDB::CleanDB(CleanDBOptions options)
   copts.num_nodes = options_.num_nodes;
   copts.shuffle_ns_per_byte = options_.shuffle_ns_per_byte;
   copts.shuffle_batch_rows = options_.shuffle_batch_rows;
-  copts.shuffle_ns_per_batch = options_.shuffle_ns_per_batch;
   copts.fault = options_.fault;
   cluster_ = std::make_unique<engine::Cluster>(copts);
   if (options_.buffer_pool_bytes > 0) {
@@ -105,7 +104,12 @@ void CleanDB::RegisterTable(const std::string& name, Dataset dataset) {
         std::unique_lock<std::shared_mutex> lock(table_mu_);
         // Publish only if this registration is still current (a concurrent
         // re-registration may have won the race and re-ingested).
-        if (tables_[name] == table) paged_tables_[name] = std::move(paged);
+        // An UnregisterTable may have dropped the name meanwhile; find, not
+        // operator[], so the check never inserts a null registration.
+        auto it = tables_.find(name);
+        if (it != tables_.end() && it->second == table) {
+          paged_tables_[name] = std::move(paged);
+        }
       }
     }
     // Ingestion failure leaves the table resident-only — an optimization

@@ -50,7 +50,6 @@ struct CleanDBOptions {
   // ExecOptions optional, and the per-execution resolution stay one list.
   // In brief (see exec_options.h for the full per-knob documentation):
   //   unify_operations   — Nest-coalesced plan forms (Figure-5 ablation).
-  //   shuffle_*          — simulated interconnect model.
   //   morsel_rows        — morsel size of the pipelined execution.
   //   incremental        — serve minor-generation (mutation) re-executions
   //     from the incremental delta path instead of a full run.
@@ -62,7 +61,17 @@ struct CleanDBOptions {
   CLEANM_SESSION_KNOBS(CLEANM_X)
 #undef CLEANM_X
 
+  // The session's cluster configuration, fixed at construction (see
+  // engine::ClusterOptions).
   size_t num_nodes = 4;
+  /// Simulated interconnect: network cost per shuffled byte, and rows per
+  /// flushed shuffle batch.
+  double shuffle_ns_per_byte = 1.0;
+  size_t shuffle_batch_rows = 1024;
+  /// Fault injection, task retry/backoff, and node blacklisting (see
+  /// engine::FaultOptions; off by default).
+  engine::FaultOptions fault;
+
   PhysicalOptions physical;
   /// Defaults for token filtering / k-means parameters (q, k, delta, seed).
   FilteringOptions filtering;
@@ -76,10 +85,6 @@ struct CleanDBOptions {
   /// oversized execution is admitted once it is alone. 0 = unlimited (no
   /// queueing, the default).
   uint64_t max_inflight_bytes = 0;
-  /// Session defaults for fault injection, task retry/backoff, and node
-  /// blacklisting (see engine::FaultOptions; off by default). Probability /
-  /// seed / retry knobs are overridable per call via ExecOptions.
-  engine::FaultOptions fault;
   /// Skew threshold for profile warnings: an operator whose per-node row
   /// distribution has ImbalanceFactor (max/mean) above this is flagged.
   double skew_warn_factor = 2.0;
@@ -128,9 +133,10 @@ struct QueryResult {
 /// tables visible when it starts: re-registering a table (RegisterTable,
 /// repair Commit) bumps the generation for executions that start later,
 /// while in-flight executions keep reading the datasets they snapshotted
-/// (shared-ownership leases keep them alive). Cluster-reconfiguring
-/// ExecOptions (max_nodes, shuffle_*) take the session's config lock
-/// exclusively and so run alone; plain executions share it.
+/// (shared-ownership leases keep them alive). The cluster configuration is
+/// fixed at construction, so executions never serialize on it: a caller
+/// that needs another node count, interconnect or fault rate builds another
+/// session.
 class CleanDB {
  public:
   explicit CleanDB(CleanDBOptions options = {});
@@ -332,10 +338,10 @@ class CleanDB {
   PreparedQuery SingleOpQuery(CleaningPlan cp);
   /// Shared execution tail of the one-shot ops (the programmatic ops and
   /// CheckDenialConstraint): runs `pq` once through ExecutePrepared — the
-  /// same code path (snapshot, admission, config lock, metrics scope, sink
-  /// emission) as Prepare→Execute, with cache persistence off so the
-  /// throwaway plan's Nest outputs never pollute the session cache — and
-  /// returns its single operation's result.
+  /// same code path (snapshot, admission, metrics scope, sink emission) as
+  /// Prepare→Execute, with cache persistence off so the throwaway plan's
+  /// Nest outputs never pollute the session cache — and returns its single
+  /// operation's result.
   Result<OpResult> RunProgrammaticOp(PreparedQuery pq);
   /// Shared Prepare body; `query_text` (when available) positions the
   /// kKeyError of an unknown function / arity mismatch at the recorded
@@ -373,8 +379,8 @@ class CleanDB {
 
   /// Guards tables_, generations_, and the mutation state (base_tables_,
   /// majors_, minors_, delta_logs_) — shared: lookups/snapshots; exclusive:
-  /// registrations and mutations. Lock order: commit_mu_ → config_mu_ →
-  /// table_mu_ → the cache's internal mutex; never held while executing.
+  /// registrations and mutations. Lock order: commit_mu_ → table_mu_ → the
+  /// cache's internal mutex; never held while executing.
   /// UnregisterTable drops the table, its counters, and its delta log in
   /// one exclusive critical section, so a concurrent mutation either
   /// completes before the drop or fails with kKeyError — a log can never
@@ -403,12 +409,6 @@ class CleanDB {
   /// Read-modify-write commit serialization (see LockCommits). Ordered
   /// before table_mu_.
   mutable std::mutex commit_mu_;
-
-  /// Cluster-configuration lock: executions that apply cluster-mutating
-  /// ExecOptions hold it exclusively for their whole run; every other
-  /// execution holds it shared, so the shared cluster's knobs never change
-  /// under a running plan.
-  mutable std::shared_mutex config_mu_;
 
   // Admission-control state (see AdmitExecution).
   std::mutex admission_mu_;

@@ -1,12 +1,11 @@
 // Per-execution overrides for PreparedQuery::Execute.
 //
-// A CleanDB session freezes its defaults at construction (CleanDBOptions);
-// before this existed, changing any knob — the Figure-5 unification
-// ablation, the simulated interconnect, the node count — meant building a
-// whole new CleanDB and re-partitioning every table. ExecOptions carries
-// the per-call deltas instead: every field defaults to "inherit the
-// session value", and the cluster is restored to the session configuration
-// when the execution returns.
+// A CleanDB session freezes its defaults at construction (CleanDBOptions).
+// ExecOptions carries the per-call deltas that do not touch the shared
+// cluster: every field defaults to "inherit the session value". The
+// cluster itself — node count, simulated interconnect, fault injection —
+// is configured once per session; an execution that needs a different
+// cluster runs on a session built with it.
 //
 // The fields shared with CleanDBOptions are generated from
 // CLEANM_SESSION_KNOBS (cleaning/session_knobs.h) so the session default,
@@ -14,8 +13,6 @@
 //
 //   unify_operations — run the Nest-coalesced (unified) plan forms vs. the
 //     standalone per-operation plans (the Figure-5 ablation, per call).
-//   shuffle_ns_per_byte / shuffle_ns_per_batch / shuffle_batch_rows —
-//     simulated interconnect model (see engine::ClusterOptions).
 //   morsel_rows — rows per morsel of the operator-level pipelines below
 //     the sink (morsel-driven chains with breakers at Nest/Reduce/shuffle
 //     boundaries), clamped to ≥ 1. Violation sets are bit-identical at any
@@ -59,11 +56,6 @@ struct ExecOptions {
   CLEANM_SESSION_KNOBS(CLEANM_X)
 #undef CLEANM_X
 
-  /// Caps execution to the first N virtual nodes (clamped to the cluster
-  /// width). Partitionings are cached per active width, so alternating caps
-  /// never mixes layouts.
-  std::optional<size_t> max_nodes;
-
   /// Admission-control charge for this execution, in logical bytes —
   /// overrides the default estimate (the summed ByteSize of every table the
   /// plans scan, the same RowByteSize accounting the
@@ -82,14 +74,6 @@ struct ExecOptions {
   /// aborting. Past the cap the execution fails. Unset/0 = quarantine off
   /// (a throwing row fails the execution with kInternal).
   std::optional<size_t> max_quarantined_rows;
-
-  // Fault-injection / retry overrides (see engine::FaultOptions). Applied
-  // to the shared cluster for this call and restored afterwards; per-node
-  // blacklist state, once entered, persists for the session.
-  std::optional<double> fault_probability;
-  std::optional<uint64_t> fault_seed;
-  std::optional<size_t> max_task_retries;
-  std::optional<uint64_t> retry_backoff_ns;
 };
 
 /// The shared knobs of one execution after per-call overrides were applied

@@ -19,61 +19,6 @@ namespace cleanm {
 
 namespace {
 
-/// True when `opts` overrides any fault-injection / retry knob.
-bool HasFaultOverrides(const ExecOptions& opts) {
-  return opts.fault_probability.has_value() || opts.fault_seed.has_value() ||
-         opts.max_task_retries.has_value() || opts.retry_backoff_ns.has_value();
-}
-
-/// Applies ExecOptions' cluster overrides on construction and restores the
-/// session configuration on destruction, so per-call knobs can never leak
-/// into later executions (or into another PreparedQuery on the same
-/// session).
-class ScopedClusterConfig {
- public:
-  ScopedClusterConfig(engine::Cluster* cluster, const ExecOptions& opts)
-      : cluster_(cluster),
-        saved_(cluster->options()),
-        saved_active_(cluster->num_nodes()) {
-    if (opts.max_nodes) cluster_->SetActiveNodes(*opts.max_nodes);
-    if (opts.shuffle_ns_per_byte || opts.shuffle_ns_per_batch) {
-      cluster_->SetShuffleCost(
-          opts.shuffle_ns_per_byte.value_or(saved_.shuffle_ns_per_byte),
-          opts.shuffle_ns_per_batch.value_or(saved_.shuffle_ns_per_batch));
-    }
-    if (opts.shuffle_batch_rows) cluster_->SetShuffleBatchRows(*opts.shuffle_batch_rows);
-    if (HasFaultOverrides(opts)) {
-      engine::FaultOptions fo = saved_.fault;
-      if (opts.fault_probability) fo.failure_probability = *opts.fault_probability;
-      if (opts.fault_seed) fo.seed = *opts.fault_seed;
-      if (opts.max_task_retries) fo.max_task_retries = *opts.max_task_retries;
-      if (opts.retry_backoff_ns) fo.retry_backoff_ns = *opts.retry_backoff_ns;
-      cluster_->SetFaultOptions(fo);
-    }
-  }
-
-  ~ScopedClusterConfig() {
-    cluster_->SetActiveNodes(saved_active_);
-    cluster_->SetShuffleCost(saved_.shuffle_ns_per_byte, saved_.shuffle_ns_per_batch);
-    cluster_->SetShuffleBatchRows(saved_.shuffle_batch_rows);
-    cluster_->SetFaultOptions(saved_.fault);
-  }
-
- private:
-  engine::Cluster* cluster_;
-  engine::ClusterOptions saved_;
-  size_t saved_active_;
-};
-
-/// True when `opts` carries any override that mutates the shared cluster —
-/// exactly the fields ScopedClusterConfig applies. Such an execution must
-/// run alone (it takes the session config lock exclusively).
-bool ReconfiguresCluster(const ExecOptions& opts) {
-  return opts.max_nodes.has_value() || opts.shuffle_ns_per_byte.has_value() ||
-         opts.shuffle_ns_per_batch.has_value() ||
-         opts.shuffle_batch_rows.has_value() || HasFaultOverrides(opts);
-}
-
 /// Default admission charge of an execution: the summed logical ByteSize of
 /// every distinct table the plans scan — the same RowByteSize accounting
 /// that backs the peak_bytes_materialized gauge, so the in-flight budget
@@ -478,10 +423,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   CLEANM_RETURN_NOT_OK(pq.status_);
   if (!pq.db_) return Status::Internal("PreparedQuery is not bound to a CleanDB");
   // All CLEANM_SESSION_KNOBS shared between the session and the per-call
-  // overrides resolve once, here. (The cluster-reconfiguration knobs —
-  // shuffle model, fault injection — are applied from the raw optionals by
-  // ScopedClusterConfig below because "unset" means "leave the cluster
-  // alone", not "re-apply the session value".)
+  // overrides resolve once, here.
   const ResolvedExecOptions knobs = ResolveExecOptions(opts, options_);
   const bool unify = knobs.unify_operations;
 
@@ -510,19 +452,6 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   } release{this, admitted};
 
   Timer total;
-  // Plain executions run under the session cluster configuration and share
-  // the config lock; an execution carrying cluster overrides mutates the
-  // shared cluster, so it takes the lock exclusively and runs alone (the
-  // override is applied after the lock and restored before it drops).
-  std::shared_lock<std::shared_mutex> shared_config(config_mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive_config(config_mu_, std::defer_lock);
-  std::optional<ScopedClusterConfig> config;
-  if (ReconfiguresCluster(opts)) {
-    exclusive_config.lock();
-    config.emplace(cluster_.get(), opts);
-  } else {
-    shared_config.lock();
-  }
 
   // Per-execution metrics: the scope travels with this execution's engine
   // calls (workers re-install it), so concurrent executions never mix

@@ -12,9 +12,11 @@
 // a knob added here exists everywhere or nowhere.
 //
 // Only knobs with identical meaning at both scopes belong here. Knobs that
-// exist at a single scope (CleanDBOptions::num_nodes vs
-// ExecOptions::max_nodes, the admission/deadline/quarantine/fault
-// overrides) stay hand-written in their respective structs.
+// exist at a single scope stay hand-written in their respective structs:
+// the cluster configuration (num_nodes, shuffle_ns_per_byte,
+// shuffle_batch_rows, fault) is CleanDBOptions-only because a session's
+// cluster is configured once, at construction; admission_bytes,
+// deadline_ns and max_quarantined_rows are ExecOptions-only.
 //
 // X(type, name, default_value) — see exec_options.h / cleandb.h for the
 // per-knob documentation.
@@ -28,9 +30,6 @@
 
 #define CLEANM_SESSION_KNOBS(X)                          \
   X(bool, unify_operations, true)                        \
-  X(double, shuffle_ns_per_byte, 1.0)                    \
-  X(double, shuffle_ns_per_batch, 0.0)                   \
-  X(size_t, shuffle_batch_rows, 1024)                    \
   X(size_t, morsel_rows, 4096)                           \
   X(bool, incremental, true)                             \
   X(uint64_t, buffer_pool_bytes, 0)                      \

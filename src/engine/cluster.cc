@@ -26,8 +26,7 @@ QueryMetrics& Cluster::metrics() const {
   return tls_metrics ? *tls_metrics : metrics_;
 }
 
-Cluster::Cluster(ClusterOptions options)
-    : options_(options), active_nodes_(options.num_nodes) {
+Cluster::Cluster(ClusterOptions options) : options_(options) {
   CLEANM_CHECK(options_.num_nodes > 0);
   CLEANM_CHECK(options_.shuffle_batch_rows > 0);
   lanes_.push_back(std::make_unique<WorkerPool>(options_.num_nodes));
@@ -63,11 +62,6 @@ Cluster::LaneLease::~LaneLease() {
   if (nested_) return;
   std::lock_guard<std::mutex> lock(cluster_.lanes_mu_);
   cluster_.idle_lanes_.push_back(lane_);
-}
-
-void Cluster::SetFaultOptions(const FaultOptions& options) {
-  options_.fault = options;
-  fault_->SetOptions(options);
 }
 
 void Cluster::RunWithFaults(size_t n,
@@ -112,7 +106,7 @@ void Cluster::RunWithFaults(size_t n,
 
 size_t Cluster::SurvivorFor(size_t dst) const {
   if (!fault_->AnyBlacklisted()) return dst;
-  const size_t n = active_nodes_;
+  const size_t n = num_nodes();
   for (size_t k = 0; k < n; k++) {
     const size_t candidate = (dst + k) % n;
     if (!fault_->blacklisted(candidate)) return candidate;
@@ -120,25 +114,7 @@ size_t Cluster::SurvivorFor(size_t dst) const {
   return dst;  // every node blacklisted: keep the original routing
 }
 
-void Cluster::SetActiveNodes(size_t n) {
-  if (n < 1) n = 1;
-  if (n > options_.num_nodes) n = options_.num_nodes;
-  active_nodes_ = n;
-}
-
-void Cluster::SetShuffleCost(double ns_per_byte, double ns_per_batch) {
-  options_.shuffle_ns_per_byte = ns_per_byte;
-  options_.shuffle_ns_per_batch = ns_per_batch;
-}
-
-void Cluster::SetShuffleBatchRows(size_t rows) {
-  // Clamp like SetActiveNodes: a 0 from ExecOptions means row-at-a-time,
-  // not a session abort.
-  options_.shuffle_batch_rows = rows < 1 ? 1 : rows;
-}
-
 void Cluster::RunOnNodes(const std::function<void(size_t)>& fn) const {
-  const size_t active = active_nodes_;
   // Lane workers run the dispatching driver's closures, so they must charge
   // that driver's per-execution metrics (and observe its cancellation
   // sources), not whatever the worker thread last saw.
@@ -150,13 +126,13 @@ void Cluster::RunOnNodes(const std::function<void(size_t)>& fn) const {
   TraceScope dispatch_span("cluster", "dispatch");
   TraceRecorder* driver_rec = TraceRecorderScope::Current();
   const uint64_t trace_parent = TraceRecorderScope::CurrentParent();
-  const auto task = [this, &fn, active, driver_metrics, driver_control,
+  const auto task = [this, &fn, driver_metrics, driver_control,
                      driver_rec, trace_parent](size_t n) {
     MetricsScope scope(driver_metrics);
     ExecControlScope control_scope(driver_control);
     TraceRecorderScope trace_scope(driver_rec, trace_parent);
     TraceScope task_span("cluster", "task", nullptr, static_cast<int>(n));
-    if (n < active) RunWithFaults(n, fn);
+    RunWithFaults(n, fn);
   };
   // A nested call (made from one of our lane's workers) runs inline inside
   // Run; otherwise the leased lane is this call's alone.
@@ -177,11 +153,11 @@ uint64_t PartitionedLogicalBytes(const Partitioned& data) {
 }
 
 Partitioned Cluster::Parallelize(const std::vector<Row>& rows) const {
-  Partitioned out(active_nodes_);
-  const size_t per_node = rows.size() / active_nodes_ + 1;
+  Partitioned out(num_nodes());
+  const size_t per_node = rows.size() / num_nodes() + 1;
   for (auto& p : out) p.reserve(per_node);
   for (size_t i = 0; i < rows.size(); i++) {
-    out[SurvivorFor(i % active_nodes_)].push_back(rows[i]);
+    out[SurvivorFor(i % num_nodes())].push_back(rows[i]);
   }
   metrics().rows_scanned += rows.size();
   return out;
@@ -240,9 +216,8 @@ Partitioned Cluster::FlatMap(
   return out;
 }
 
-void Cluster::ChargeNetwork(uint64_t bytes, uint64_t batches) const {
-  const double ns = static_cast<double>(bytes) * options_.shuffle_ns_per_byte +
-                    static_cast<double>(batches) * options_.shuffle_ns_per_batch;
+void Cluster::ChargeNetwork(uint64_t bytes) const {
+  const double ns = static_cast<double>(bytes) * options_.shuffle_ns_per_byte;
   if (ns <= 0) return;
   auto remaining = std::chrono::nanoseconds(static_cast<int64_t>(ns));
   if (remaining.count() <= 0) return;
@@ -276,7 +251,7 @@ Partitioned Cluster::Shuffle(const Partitioned& in,
                              const std::function<uint64_t(const Row&)>& route) {
   TraceScope shuffle_span("cluster", "shuffle");
   shuffle_span.SetRows(TotalRows(in), TotalRows(in));
-  const size_t n_nodes = active_nodes_;
+  const size_t n_nodes = num_nodes();
   const size_t batch_rows = options_.shuffle_batch_rows;
   // staged[src][dst] holds the flushed batches in routing order, so the
   // destination splice below reproduces the exact row order of an
@@ -294,7 +269,7 @@ Partitioned Cluster::Shuffle(const Partitioned& in,
       if (dst != src) {
         metrics().bytes_shuffled += b.bytes;
         metrics().shuffle_batches += 1;
-        ChargeNetwork(b.bytes, 1);
+        ChargeNetwork(b.bytes);
       }
       staged[src][dst].push_back(std::move(b.rows));
       b.rows = Partition();
@@ -333,7 +308,7 @@ Partitioned Cluster::Shuffle(const Partitioned& in,
 Partition Cluster::BroadcastAll(const Partitioned& in) {
   TraceScope broadcast_span("cluster", "broadcast");
   broadcast_span.SetRows(TotalRows(in), TotalRows(in));
-  const size_t n_nodes = active_nodes_;
+  const size_t n_nodes = num_nodes();
   const size_t receivers = n_nodes - 1;
   // Offsets let every source copy its slice into the shared result
   // concurrently (the "receive work" of the broadcast).
@@ -360,7 +335,7 @@ Partition Cluster::BroadcastAll(const Partitioned& in) {
       metrics().rows_shuffled += in[src].size() * receivers;
       metrics().bytes_shuffled += bytes * receivers;
       metrics().shuffle_batches += batches_per_receiver * receivers;
-      ChargeNetwork(bytes * receivers, batches_per_receiver * receivers);
+      ChargeNetwork(bytes * receivers);
     }
   });
   return all;

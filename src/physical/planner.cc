@@ -34,14 +34,12 @@ void CollectScanDeps(const AlgOpPtr& plan, const Catalog& catalog,
 
 Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
   const uint64_t generation = catalog->GenerationOf(scan.table);
-  const size_t nodes = cluster->num_nodes();
-  if (PartitionPin wrapped =
-          cache->FindWrap(scan.table, scan.var, generation, nodes)) {
+  if (PartitionPin wrapped = cache->FindWrap(scan.table, scan.var, generation)) {
     cache->CountScanHit();
     return wrapped;
   }
 
-  PartitionPin base = cache->FindScan(scan.table, generation, nodes);
+  PartitionPin base = cache->FindScan(scan.table, generation);
   if (base) {
     cache->CountScanHit();
   } else if (delta_scan) {
@@ -61,7 +59,7 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
       const Schema& schema = table_r.value()->schema();
       const uint64_t reach = std::min<uint64_t>(minor, generation > 0 ? generation - 1 : 0);
       for (uint64_t k = 1; k <= reach && !base; k++) {
-        PartitionPin prior = cache->FindScan(scan.table, generation - k, nodes);
+        PartitionPin prior = cache->FindScan(scan.table, generation - k);
         if (!prior) continue;
         std::vector<Row> added, removed;
         if (!log->Collect(generation - k, generation, &added, &removed)) break;
@@ -93,7 +91,7 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
         }
         cluster->metrics().delta_rows_processed += added.size() + removed.size();
         cache->CountScanHit();
-        base = cache->PutScan(scan.table, generation, nodes, std::move(patched));
+        base = cache->PutScan(scan.table, generation, std::move(patched));
       }
     }
   }
@@ -120,7 +118,7 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
     }
     Partitioned scanned = cluster->Parallelize(rows);
     cache->CountScanMiss();
-    base = cache->PutScan(scan.table, generation, nodes, std::move(scanned));
+    base = cache->PutScan(scan.table, generation, std::move(scanned));
   }
   // Wrap each record into the {var: record} tuple. The pin keeps `base`
   // alive even if PutWrap (or a concurrent execution) evicts it from the
@@ -129,7 +127,7 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
   Partitioned wrapped = cluster->Map(*base, [var](const Row& r) {
     return MakePhysicalTuple(Value(ValueStruct{{var, PhysicalTupleOf(r)}}));
   });
-  return cache->PutWrap(scan.table, scan.var, generation, nodes, std::move(wrapped));
+  return cache->PutWrap(scan.table, scan.var, generation, std::move(wrapped));
 }
 
 Result<engine::Partitioned> Executor::ExecJoin(const AlgOpPtr& plan,

@@ -12,6 +12,8 @@
 //  * RegisterTable / RepairSink::Commit during in-flight executions are
 //    atomic: an execution sees one generation of each table throughout
 //    (snapshot visibility), never a mix;
+//  * RegisterTable racing UnregisterTable on an out-of-core session never
+//    publishes a null table: a lookup is kKeyError or a live dataset;
 //  * the admission controller really bounds concurrent in-flight work:
 //    with a byte budget, oversized executions run alone (serialized);
 //    without one, executions overlap.
@@ -423,6 +425,79 @@ TEST(ConcurrencyStressTest, MutateVersusUnregisterChurnStaysConsistent) {
   // And the table still validates end to end (incremental path included).
   auto final_run = pq.value().Execute();
   ASSERT_TRUE(final_run.ok()) << final_run.status().ToString();
+}
+
+TEST(ConcurrencyStressTest, RegisterVersusUnregisterNeverPublishesNullTable) {
+  // On an out-of-core session RegisterTable ingests the paged copy outside
+  // the table lock and then re-takes it to publish that copy — only if the
+  // registration is still current. An UnregisterTable landing in that
+  // window drops the name. Contracts under test: the publish check never
+  // re-creates the dropped name, so a lookup is always either kKeyError or
+  // a live dataset, and every execution returns a Status (OK, or kKeyError
+  // while the table is absent) instead of binding a null table.
+  CleanDBOptions opts = FastCleanDBOptions(4);
+  opts.buffer_pool_bytes = 1 << 20;
+  CleanDB db(opts);
+  const Dataset customers = DirtyCustomers();
+  db.RegisterTable("customer", customers);
+  auto pq = db.Prepare("SELECT * FROM customer c FD(c.address, prefix(c.phone))");
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> executions{0};
+  std::mutex first_mu;
+  std::string first_failure;
+  auto record_failure = [&](const std::string& what) {
+    failures++;
+    std::lock_guard<std::mutex> lock(first_mu);
+    if (first_failure.empty()) first_failure = what;
+  };
+  auto check_lookup = [&](const char* who) {
+    Result<const Dataset*> table = db.GetTable("customer");
+    if (table.ok() ? table.value() == nullptr
+                   : table.status().code() != StatusCode::kKeyError) {
+      record_failure(std::string(who) + ": GetTable returned " +
+                     (table.ok() ? "OK(null)" : table.status().ToString()));
+    }
+    Result<std::shared_ptr<const Dataset>> lease = db.GetTableShared("customer");
+    if (lease.ok() && lease.value() == nullptr) {
+      record_failure(std::string(who) + ": GetTableShared returned OK(null)");
+    }
+  };
+
+  std::thread unregistrar([&] {
+    while (!stop) {
+      db.UnregisterTable("customer");
+      check_lookup("unregistrar");
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  std::thread driver([&] {
+    while (!stop) {
+      auto r = pq.value().Execute();
+      executions++;
+      if (!r.ok() && r.status().code() != StatusCode::kKeyError) {
+        record_failure("execute: " + r.status().ToString());
+      }
+    }
+  });
+  for (int round = 0; round < 60; round++) {
+    db.RegisterTable("customer", customers);
+    check_lookup("registrar");
+  }
+  stop = true;
+  unregistrar.join();
+  driver.join();
+
+  EXPECT_EQ(failures.load(), 0) << first_failure;
+  EXPECT_GT(executions.load(), 0);
+  // A final registration is served end to end.
+  db.RegisterTable("customer", customers);
+  check_lookup("final");
+  auto final_run = pq.value().Execute();
+  ASSERT_TRUE(final_run.ok()) << final_run.status().ToString();
+  EXPECT_GT(final_run.value().ops[0].violations.size(), 0u);
 }
 
 TEST(ConcurrencyStressTest, AdmissionBudgetSerializesWhileUnlimitedOverlaps) {

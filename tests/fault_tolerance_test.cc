@@ -183,35 +183,6 @@ TEST(FaultToleranceTest, InjectedFailuresRetryToBitIdenticalResults) {
   EXPECT_EQ(faulty.metrics.nodes_blacklisted, 0u);
 }
 
-TEST(FaultToleranceTest, ExecOptionsFaultOverridesApplyPerCallAndRestore) {
-  const Dataset customers = testsupport::MakeCustomers();
-  CleanDB db(FastCleanDBOptions(4));
-  db.RegisterTable("customer", customers);
-  auto prepared = db.Prepare(kFdQuery);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  PreparedQuery& pq = prepared.value();
-
-  const QueryResult clean = pq.Execute().ValueOrDie();
-
-  ExecOptions fopts;
-  fopts.fault_probability = 0.25;
-  fopts.fault_seed = 11;
-  fopts.max_task_retries = 12;
-  fopts.retry_backoff_ns = 1000;
-  const QueryResult faulty = pq.Execute(fopts).ValueOrDie();
-  ExpectBitIdentical(clean, faulty);
-  // Cached partitionings shrink the epoch count on re-execution but the
-  // violation select still fans out, so attempts (and with p=0.25, some
-  // failures) still happen.
-  EXPECT_GT(faulty.metrics.tasks_failed, 0u);
-  EXPECT_GT(faulty.metrics.tasks_retried, 0u);
-
-  // The override is call-scoped: the next plain Execute runs fault-free.
-  const QueryResult after = pq.Execute().ValueOrDie();
-  EXPECT_EQ(after.metrics.tasks_failed, 0u);
-  ExpectBitIdentical(clean, after);
-}
-
 TEST(FaultToleranceTest, RetriesExhaustedSurfaceUnavailable) {
   auto opts = FastCleanDBOptions(4);
   opts.fault.target_node = 1;

@@ -1,15 +1,19 @@
 // Property tests across module boundaries:
 //  * random flat datasets survive CSV / JSON-lines / colpack round-trips
 //  * random nested datasets survive JSON-lines / colpack round-trips
-//  * the FD cleaning pipeline returns identical violations for every
-//    (aggregation strategy × cluster size) combination — the paper's claim
-//    that the monoid translation is *inherently* parallelizable: the answer
-//    cannot depend on how the merge tree is shaped.
+//  * the FD cleaning pipeline, and a prepared FD + DEDUP query, return the
+//    same canonical violation sets for every (aggregation strategy ×
+//    cluster size × shuffle batching × injected fault rate) session — the
+//    paper's claim that the monoid translation is *inherently*
+//    parallelizable: the answer cannot depend on how the merge tree is
+//    shaped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "cleaning/cleandb.h"
+#include "cleaning/prepared_query.h"
 #include "common/random.h"
 #include "datagen/generators.h"
 #include "storage/colpack.h"
@@ -20,6 +24,8 @@
 namespace cleanm {
 namespace {
 
+using testsupport::CanonicalSet;
+using testsupport::CanonicalString;
 using testsupport::DatasetsEqual;
 using testsupport::RandomFlatDataset;
 
@@ -114,13 +120,41 @@ TEST_P(RoundTripPropertyTest, EscaperHeavyStringsSurviveJsonAndColpack) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
 
-/// The distributed answer must be independent of strategy and node count.
+/// The distributed answer must be independent of the session's execution
+/// shape: aggregation strategy, node count, shuffle batch size, and injected
+/// task failures. Each configuration is its own session — a session's
+/// cluster is fixed at construction.
 struct ExecConfig {
   engine::AggregateStrategy strategy;
   size_t nodes;
+  size_t shuffle_batch_rows = 1024;
+  double failure_probability = 0.0;
 };
 
-class ParallelInvarianceTest : public ::testing::TestWithParam<ExecConfig> {};
+class ParallelInvarianceTest : public ::testing::TestWithParam<ExecConfig> {
+ protected:
+  /// Single node, local combine, no faults.
+  static CleanDB Reference() {
+    CleanDBOptions opts;
+    opts.num_nodes = 1;
+    opts.shuffle_ns_per_byte = 0;
+    return CleanDB(opts);
+  }
+
+  static CleanDBOptions SessionOptions() {
+    const ExecConfig& config = GetParam();
+    CleanDBOptions opts;
+    opts.num_nodes = config.nodes;
+    opts.shuffle_ns_per_byte = 0;
+    opts.shuffle_batch_rows = config.shuffle_batch_rows;
+    opts.physical.aggregate_strategy = config.strategy;
+    opts.fault.failure_probability = config.failure_probability;
+    opts.fault.seed = 29;
+    opts.fault.max_task_retries = 8;  // rides out p=0.05 failure streaks
+    opts.fault.retry_backoff_ns = 0;
+    return opts;
+  }
+};
 
 TEST_P(ParallelInvarianceTest, FdViolationsIndependentOfExecutionShape) {
   datagen::CustomerOptions copts;
@@ -133,22 +167,64 @@ TEST_P(ParallelInvarianceTest, FdViolationsIndependentOfExecutionShape) {
   fd.lhs = {ParseCleanMExpr("c.address").ValueOrDie()};
   fd.rhs = {ParseCleanMExpr("prefix(c.phone)").ValueOrDie()};
 
-  // Reference: single node, local combine.
-  CleanDBOptions ref_opts;
-  ref_opts.num_nodes = 1;
-  ref_opts.shuffle_ns_per_byte = 0;
-  CleanDB ref(ref_opts);
+  CleanDB ref = Reference();
   ref.RegisterTable("customer", customers);
-  const size_t expected = ref.CheckFd("customer", "c", fd).ValueOrDie().violations.size();
-  ASSERT_GT(expected, 0u);
+  const auto expected = CanonicalSet(ref.CheckFd("customer", "c", fd).ValueOrDie().violations);
+  ASSERT_FALSE(expected.empty());
 
-  CleanDBOptions opts;
-  opts.num_nodes = GetParam().nodes;
-  opts.shuffle_ns_per_byte = 0;
-  opts.physical.aggregate_strategy = GetParam().strategy;
-  CleanDB db(opts);
+  CleanDB db(SessionOptions());
   db.RegisterTable("customer", customers);
-  EXPECT_EQ(db.CheckFd("customer", "c", fd).ValueOrDie().violations.size(), expected);
+  EXPECT_EQ(CanonicalSet(db.CheckFd("customer", "c", fd).ValueOrDie().violations),
+            expected);
+}
+
+TEST_P(ParallelInvarianceTest, PreparedFdAndDedupIndependentOfExecutionShape) {
+  datagen::CustomerOptions copts;
+  copts.base_rows = 400;
+  copts.fd_violation_fraction = 0.08;
+  copts.duplicate_fraction = 0.1;
+  copts.max_duplicates = 3;
+  auto customers = datagen::MakeCustomer(copts);
+  const char* query =
+      "SELECT * FROM customer c FD(c.address, prefix(c.phone)) "
+      "DEDUP(exact, LD, 0.8, c.address)";
+
+  auto run = [&](CleanDB& db) {
+    db.RegisterTable("customer", customers);
+    auto prepared = db.Prepare(query);
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    return prepared.value().Execute().ValueOrDie();
+  };
+  auto entities = [](const QueryResult& r) {
+    std::vector<std::string> out;
+    for (const auto& [entity, ops] : r.dirty_entities) {
+      std::string line = CanonicalString(entity) + " <-";
+      for (const auto& op : ops) line += " " + op;
+      out.push_back(std::move(line));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  CleanDB ref = Reference();
+  const QueryResult expected = run(ref);
+  CleanDB db(SessionOptions());
+  const QueryResult actual = run(db);
+
+  ASSERT_EQ(expected.ops.size(), 2u);
+  ASSERT_EQ(actual.ops.size(), expected.ops.size());
+  for (size_t i = 0; i < expected.ops.size(); i++) {
+    EXPECT_EQ(actual.ops[i].op_name, expected.ops[i].op_name);
+    EXPECT_FALSE(expected.ops[i].violations.empty()) << expected.ops[i].op_name;
+    EXPECT_EQ(CanonicalSet(actual.ops[i].violations),
+              CanonicalSet(expected.ops[i].violations))
+        << expected.ops[i].op_name;
+  }
+  EXPECT_EQ(entities(actual), entities(expected));
+  if (GetParam().failure_probability > 0) {
+    // The faults really fired and were retried away.
+    EXPECT_GT(actual.metrics.tasks_failed, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -161,7 +237,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ExecConfig{engine::AggregateStrategy::kSortShuffle, 16},
                       ExecConfig{engine::AggregateStrategy::kHashShuffle, 2},
                       ExecConfig{engine::AggregateStrategy::kHashShuffle, 7},
-                      ExecConfig{engine::AggregateStrategy::kHashShuffle, 16}));
+                      ExecConfig{engine::AggregateStrategy::kHashShuffle, 16},
+                      // Row-at-a-time shuffle batches.
+                      ExecConfig{engine::AggregateStrategy::kHashShuffle, 7, 1},
+                      // 5% injected task failures (fixed seed), retried.
+                      ExecConfig{engine::AggregateStrategy::kHashShuffle, 4, 1024,
+                                 0.05}));
 
 }  // namespace
 }  // namespace cleanm

@@ -1,5 +1,6 @@
 #include "support/fixtures.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "algebra/algebra_eval.h"
@@ -113,6 +114,36 @@ bool DatasetsEqual(const Dataset& a, const Dataset& b) {
     }
   }
   return true;
+}
+
+std::string CanonicalString(const Value& v) {
+  if (v.type() == ValueType::kStruct) {
+    std::vector<std::pair<std::string, std::string>> fields;
+    for (const auto& [name, field] : v.AsStruct()) {
+      fields.emplace_back(name, CanonicalString(field));
+    }
+    std::sort(fields.begin(), fields.end());
+    std::string out = "{";
+    for (const auto& [name, repr] : fields) out += name + ":" + repr + ",";
+    return out + "}";
+  }
+  if (v.type() == ValueType::kList) {
+    std::vector<std::string> elems;
+    for (const auto& e : v.AsList()) elems.push_back(CanonicalString(e));
+    std::sort(elems.begin(), elems.end());
+    std::string out = "[";
+    for (const auto& e : elems) out += e + ",";
+    return out + "]";
+  }
+  return v.ToString();
+}
+
+std::vector<std::string> CanonicalSet(const ValueList& values) {
+  std::vector<std::string> out;
+  out.reserve(values.size());
+  for (const auto& v : values) out.push_back(CanonicalString(v));
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 MetricsSnapshot Snapshot(const QueryMetrics& metrics) { return metrics.Snapshot(); }

@@ -63,6 +63,16 @@ Value DatasetToRecords(const Dataset& dataset);
 /// Exact cell-by-cell equality (types strict, nulls equal).
 bool DatasetsEqual(const Dataset& a, const Dataset& b);
 
+/// Renders a Value with struct fields sorted by name and list elements
+/// sorted lexicographically, so two results compare equal regardless of
+/// field ordering or of the merge-tree shape that built an aggregated
+/// collection.
+std::string CanonicalString(const Value& v);
+
+/// The sorted CanonicalString renderings of `values`: an order-insensitive
+/// violation set, comparable across node counts and shuffle layouts.
+std::vector<std::string> CanonicalSet(const ValueList& values);
+
 /// Point-in-time copy of the engine counters, for stability assertions
 /// across runs. Now just the library's own snapshot type (the old
 /// hand-copied struct duplicated it field by field).

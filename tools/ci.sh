@@ -42,6 +42,12 @@ done
 # invocation to reproduce locally.
 set -x
 
+# Compile-only check of the benchmark driver: perfbench/ is a CMake
+# package of its own that builds the engine from src/, so a public API
+# change that breaks it is caught here rather than when the benchmark runs.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j "$JOBS"
+
 # Perf regression gate: worker-lane dispatch must stay clearly faster than
 # the bench's spawn-per-call baseline (--check exits non-zero past a
 # generous threshold), so dispatch can't silently regress back to
@@ -106,4 +112,4 @@ python3 tools/check_bench_json.py build-release/BENCH_cluster.json \
   --baseline BENCH_cluster.json
 
 set +x
-echo "CI OK: release + asan + ubsan + tsan presets built and tested clean; dispatch, prepared-reexec, UDF-aggregate, pipeline, fault-tolerance, and observability gates passed; fault seed sweep clean under tsan; bench JSON and Chrome trace validated."
+echo "CI OK: release + asan + ubsan + tsan presets built and tested clean; benchmark driver compiles; dispatch, prepared-reexec, UDF-aggregate, pipeline, fault-tolerance, and observability gates passed; fault seed sweep clean under tsan; bench JSON and Chrome trace validated."
