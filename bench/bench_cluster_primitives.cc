@@ -98,9 +98,19 @@ int main(int argc, char** argv) {
   bool smoke = false, check = false;
   std::string out_path = "BENCH_cluster.json";
   for (int i = 1; i < argc; i++) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      out_path = argv[++i];
+    } else {
+      std::fprintf(stderr,
+                   "unrecognized argument '%s'\nusage: %s [--smoke] [--check] "
+                   "[--out <json>]\n",
+                   argv[i], argv[0]);
+      return 2;
+    }
   }
 
   const int dispatch_iters = smoke ? 300 : 3000;

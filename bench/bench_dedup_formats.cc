@@ -54,7 +54,16 @@ int main(int argc, char** argv) {
   using namespace cleanm;
   namespace fs = std::filesystem;
   // --smoke: tiny sizes so CTest can verify the bench end to end.
-  const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
+  bool smoke = false;
+  for (int i = 1; i < argc; i++) {
+    if (std::string(argv[i]) == "--smoke") {
+      smoke = true;
+    } else {
+      std::fprintf(stderr, "unrecognized argument '%s'\nusage: %s [--smoke]\n", argv[i],
+                   argv[0]);
+      return 2;
+    }
+  }
   const std::vector<size_t> row_sweep =
       smoke ? std::vector<size_t>{300} : std::vector<size_t>{4000, 8000};
   // Per-process dir: concurrent ctest runs must not share bench files.

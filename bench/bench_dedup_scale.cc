@@ -69,8 +69,15 @@ int main(int argc, char** argv) {
   bool smoke = false;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--nonet") g_nonet = true;
+    if (arg == "--smoke") {
+      smoke = true;
+    } else if (arg == "--nonet") {
+      g_nonet = true;
+    } else {
+      std::fprintf(stderr, "unrecognized argument '%s'\nusage: %s [--smoke] [--nonet]\n",
+                   argv[i], argv[0]);
+      return 2;
+    }
   }
   const size_t base_rows = smoke ? 200 : 4000;
   const std::vector<size_t> dup_sweep =

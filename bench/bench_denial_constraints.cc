@@ -68,7 +68,16 @@ int main(int argc, char** argv) {
   using namespace cleanm;
   namespace fs = std::filesystem;
   // --smoke: tiny scale factors so CTest can verify the bench end to end.
-  const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
+  bool smoke = false;
+  for (int i = 1; i < argc; i++) {
+    if (std::string(argv[i]) == "--smoke") {
+      smoke = true;
+    } else {
+      std::fprintf(stderr, "unrecognized argument '%s'\nusage: %s [--smoke]\n", argv[i],
+                   argv[0]);
+      return 2;
+    }
+  }
   const std::vector<int> sf_sweep =
       smoke ? std::vector<int>{1} : std::vector<int>{15, 30, 45, 60, 70};
   const int ablation_sf = smoke ? 1 : 45;

@@ -128,9 +128,15 @@ void BuildCorpus(double noise_factor, std::vector<std::string>* dirty,
 
 int main(int argc, char** argv) {
   using namespace cleanm;
-  if (argc > 1 && std::string(argv[1]) == "--smoke") {
-    g_corpus_rows = 300;
-    g_author_pool = 100;
+  for (int i = 1; i < argc; i++) {
+    if (std::string(argv[i]) == "--smoke") {
+      g_corpus_rows = 300;
+      g_author_pool = 100;
+    } else {
+      std::fprintf(stderr, "unrecognized argument '%s'\nusage: %s [--smoke]\n", argv[i],
+                   argv[0]);
+      return 2;
+    }
   }
   std::printf("=== E1/E2 — Table 3 + Figure 3: term validation (DBLP-like) ===\n");
   std::printf("paper: tf q=2 P=100%% R=97%% F=98.5 | tf q=3 P=100%% R=96.8%% | "

@@ -20,7 +20,16 @@
 int main(int argc, char** argv) {
   using namespace cleanm;
   // --smoke: tiny size so CTest can verify the bench end to end.
-  const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
+  bool smoke = false;
+  for (int i = 1; i < argc; i++) {
+    if (std::string(argv[i]) == "--smoke") {
+      smoke = true;
+    } else {
+      std::fprintf(stderr, "unrecognized argument '%s'\nusage: %s [--smoke]\n", argv[i],
+                   argv[0]);
+      return 2;
+    }
+  }
   std::printf("=== E5 — Table 4: transformation slowdowns (lineitem 'SF70'-scaled) ===\n");
   std::printf("paper: split 1.15x | fill 1.15x | both two-step 2.30x | both one-step 1.19x\n\n");
 

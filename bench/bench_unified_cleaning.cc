@@ -449,9 +449,10 @@ PipelineAb RunPipelineAb() {
 }
 
 // ---- Out-of-core A/B: the 8-FD unified plan fully in-memory vs under a
-// buffer pool budgeted at 1/8 of the dataset footprint. The budgeted run
-// scans the table through paged chunks, spills Nest partials past the
-// budget, and re-reads every spill generation for the merge — and must
+// buffer pool budgeted at 1/8 of the dataset footprint (a session option:
+// one pool per session). The budgeted run scans the resident table like
+// the in-memory one, spills Nest partials past the budget, and re-reads
+// every spill generation through the pool for the merge — and must
 // still produce *bit-identical* violations (same tuples, same order,
 // compared on the full rendered structure). Gates: identical violations,
 // bytes actually spilled (the budget really bit), pool peak residency
@@ -1079,11 +1080,23 @@ int main(int argc, char** argv) {
   std::string trace_out;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
-    if (arg == "--smoke") g_base_rows = 400;
-    if (arg == "--nonet") g_nonet = true;
-    if (arg == "--check") check = true;
-    if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
-    if (arg == "--trace-out" && i + 1 < argc) trace_out = argv[++i];
+    if (arg == "--smoke") {
+      g_base_rows = 400;
+    } else if (arg == "--nonet") {
+      g_nonet = true;
+    } else if (arg == "--check") {
+      check = true;
+    } else if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
+    } else if (arg == "--trace-out" && i + 1 < argc) {
+      trace_out = argv[++i];
+    } else {
+      std::fprintf(stderr,
+                   "unrecognized argument '%s'\nusage: %s [--smoke] [--nonet] "
+                   "[--check] [--out <json>] [--trace-out <json>]\n",
+                   argv[i], argv[0]);
+      return 2;
+    }
   }
   std::printf("=== E4 — Figure 5: unified cleaning (FD1 + FD2 + DEDUP on customer) ===\n");
   std::printf("paper: CleanDB merges the three ops into one aggregation "

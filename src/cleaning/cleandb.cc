@@ -58,11 +58,6 @@ CleanDB::CleanDB(CleanDBOptions options)
   cluster_ = std::make_unique<engine::Cluster>(copts);
   if (options_.buffer_pool_bytes > 0) {
     pool_ = std::make_unique<BufferPool>(options_.buffer_pool_bytes);
-    // The table page store is best-effort: if the temp file cannot be
-    // created (e.g. unwritable spill_dir) the session stays resident-only.
-    auto store = SingleFileStore::CreateTemp(options_.spill_dir, "tables",
-                                             options_.page_bytes);
-    if (store.ok()) page_store_ = std::move(store.MoveValue());
     session_spill_ = std::make_unique<SpillContext>(
         options_.spill_dir, options_.page_bytes, options_.buffer_pool_bytes,
         pool_.get());
@@ -84,36 +79,6 @@ void CleanDB::RegisterTable(const std::string& name, Dataset dataset) {
     majors_[name]++;
     minors_[name] = 0;
     delta_logs_.erase(name);
-    // The old paged copy is stale the moment the new registration is
-    // visible; drop it in the same critical section so no snapshot can
-    // pair the new resident table with old pages. The fresh copy is
-    // ingested (and published) below, outside the lock.
-    paged_tables_.erase(name);
-  }
-  if (pool_ && page_store_) {
-    PagedTableBuilder builder(page_store_);
-    Status st = Status::OK();
-    for (const auto& row : table->rows()) {
-      st = builder.Append(row);
-      if (!st.ok()) break;
-    }
-    if (st.ok()) {
-      Result<PagedTable> finished = builder.Finish(table->schema());
-      if (finished.ok()) {
-        auto paged = std::make_shared<const PagedTable>(finished.MoveValue());
-        std::unique_lock<std::shared_mutex> lock(table_mu_);
-        // Publish only if this registration is still current (a concurrent
-        // re-registration may have won the race and re-ingested).
-        // An UnregisterTable may have dropped the name meanwhile; find, not
-        // operator[], so the check never inserts a null registration.
-        auto it = tables_.find(name);
-        if (it != tables_.end() && it->second == table) {
-          paged_tables_[name] = std::move(paged);
-        }
-      }
-    }
-    // Ingestion failure leaves the table resident-only — an optimization
-    // lost, never a correctness problem.
   }
   // Invalidation happens after the lock drops (cache has its own mutex).
   // In the window between, the bumped generation is already visible and
@@ -125,13 +90,12 @@ void CleanDB::RegisterTable(const std::string& name, Dataset dataset) {
 
 void CleanDB::UnregisterTable(const std::string& name) {
   {
-    // One exclusive critical section drops the table, its paged copy, its
-    // base, its delta log, and its minor counter together (and closes the
-    // major epoch), so a mutation racing the drop either completed before
-    // it or observes the table as gone — never a log without its table.
+    // One exclusive critical section drops the table, its base, its delta
+    // log, and its minor counter together (and closes the major epoch), so
+    // a mutation racing the drop either completed before it or observes the
+    // table as gone — never a log without its table.
     std::unique_lock<std::shared_mutex> lock(table_mu_);
     if (tables_.erase(name) == 0) return;
-    paged_tables_.erase(name);
     base_tables_.erase(name);
     delta_logs_.erase(name);
     minors_.erase(name);
@@ -195,10 +159,6 @@ Result<CleanDB::MutationResult> CleanDB::MutateTable(const std::string& table,
   log->Append(std::move(delta));
   delta_logs_[table] = std::move(log);
   tables_[table] = std::move(next);
-  // The paged copy describes the pre-mutation rows; it is not rebuilt here
-  // (mutations stay cheap), so the table reverts to resident scans until
-  // the next registration re-ingests it.
-  paged_tables_.erase(table);
   return result;
 }
 
@@ -323,11 +283,6 @@ CleanDB::TableSnapshot CleanDB::SnapshotTables() const {
   for (const auto& [name, dataset] : tables_) {
     snapshot.catalog.tables[name] = dataset.get();
     snapshot.leases.push_back(dataset);
-  }
-  snapshot.paged_leases.reserve(paged_tables_.size());
-  for (const auto& [name, paged] : paged_tables_) {
-    snapshot.catalog.paged[name] = paged.get();
-    snapshot.paged_leases.push_back(paged);
   }
   snapshot.base_leases.reserve(base_tables_.size());
   for (const auto& [name, base] : base_tables_) {
@@ -484,6 +439,14 @@ Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
   const std::string tmp_name = "__dirty_" + data_table + "_" +
                                std::to_string(temp_table_seq_.fetch_add(1));
   RegisterTable(tmp_name, std::move(dirty));
+  // The temp name is never registered again, so its counters go with it:
+  // kept, they would be copied into every later execution's snapshot.
+  auto drop_tmp = [this, &tmp_name] {
+    UnregisterTable(tmp_name);
+    std::unique_lock<std::shared_mutex> lock(table_mu_);
+    generations_.erase(tmp_name);
+    majors_.erase(tmp_name);
+  };
 
   FilteringOptions fopts = options_.filtering;
   fopts.algo = cb.op;
@@ -494,11 +457,11 @@ Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
   auto build = BuildTermValidationPlan(tmp_name, data_var, dict_table, "d", dict_attr,
                                        cb, fopts, std::move(centers));
   if (!build.ok()) {
-    UnregisterTable(tmp_name);
+    drop_tmp();
     return build.status();
   }
   auto result = RunProgrammaticOp(SingleOpQuery(build.MoveValue()));
-  UnregisterTable(tmp_name);
+  drop_tmp();
   return result;
 }
 

@@ -34,7 +34,6 @@
 #include "physical/planner.h"
 #include "storage/delta.h"
 #include "storage/pagestore/buffer_pool.h"
-#include "storage/pagestore/paged_table.h"
 #include "storage/pagestore/spill.h"
 
 namespace cleanm {
@@ -53,13 +52,23 @@ struct CleanDBOptions {
   //   morsel_rows        — morsel size of the pipelined execution.
   //   incremental        — serve minor-generation (mutation) re-executions
   //     from the incremental delta path instead of a full run.
-  //   buffer_pool_bytes / spill_dir / page_bytes — out-of-core storage
-  //     (DESIGN.md, "Out-of-core storage & spill"); buffer_pool_bytes > 0
-  //     additionally ingests registered tables into a paged store.
   //   profile / trace_path — operator-level tracing spans + QueryProfile.
 #define CLEANM_X(type, name, default_value) type name = default_value;
   CLEANM_SESSION_KNOBS(CLEANM_X)
 #undef CLEANM_X
+
+  // Out-of-core storage (DESIGN.md, "Out-of-core storage & spill"), fixed
+  // at construction like the cluster: one buffer pool serves every
+  // execution of the session. Scans always read the resident datasets.
+  /// Buffer-pool byte budget; > 0 lets pipeline breakers (Nest partials,
+  /// hash-join build sides) spill past it and the partition cache page
+  /// evicted entries out instead of dropping them. 0 = fully in memory.
+  uint64_t buffer_pool_bytes = 0;
+  /// Directory of the spill files (empty = system temp dir); each file is
+  /// created lazily on first spill and removed on close.
+  std::string spill_dir;
+  /// Page granularity of the spill files.
+  size_t page_bytes = kDefaultPageBytes;
 
   // The session's cluster configuration, fixed at construction (see
   // engine::ClusterOptions).
@@ -322,9 +331,6 @@ class CleanDB {
   struct TableSnapshot {
     Catalog catalog;
     std::vector<std::shared_ptr<const Dataset>> leases;
-    /// Leases on the paged copies bound in catalog.paged (out-of-core
-    /// sessions only) — same survival rule as `leases`.
-    std::vector<std::shared_ptr<const PagedTable>> paged_leases;
     /// Leases on the base (as-registered) datasets bound in catalog.bases
     /// and on the mutation delta logs bound in catalog.deltas — same
     /// survival rule as `leases`.
@@ -401,10 +407,6 @@ class CleanDB {
   /// Immutable delta-log snapshots; a mutation publishes a copied+extended
   /// log so snapshot holders keep reading a frozen one.
   std::map<std::string, std::shared_ptr<const DeltaLog>> delta_logs_;
-  /// Paged copies of registered tables (out-of-core sessions; guarded by
-  /// table_mu_ like tables_). A table may lack one — paged ingestion is an
-  /// optimization, never a correctness dependency.
-  std::map<std::string, std::shared_ptr<const PagedTable>> paged_tables_;
 
   /// Read-modify-write commit serialization (see LockCommits). Ordered
   /// before table_mu_.
@@ -424,12 +426,11 @@ class CleanDB {
 
   /// Out-of-core state (null on fully in-memory sessions). Declared before
   /// cache_ so the cache (whose pager writes through session_spill_) is
-  /// destroyed first. The page store is shared-owned by every PagedTable
-  /// built over it.
+  /// destroyed first.
   std::unique_ptr<BufferPool> pool_;
-  std::shared_ptr<SingleFileStore> page_store_;
   /// Session spill context backing the partition-cache pager (per-execution
-  /// breaker spills use their own, stack-owned in ExecutePrepared).
+  /// breaker spills use their own over the same pool, stack-owned in
+  /// ExecutePrepared).
   std::unique_ptr<SpillContext> session_spill_;
 
   /// Session-owned partition cache shared by every execution.

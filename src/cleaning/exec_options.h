@@ -2,10 +2,11 @@
 //
 // A CleanDB session freezes its defaults at construction (CleanDBOptions).
 // ExecOptions carries the per-call deltas that do not touch the shared
-// cluster: every field defaults to "inherit the session value". The
-// cluster itself — node count, simulated interconnect, fault injection —
-// is configured once per session; an execution that needs a different
-// cluster runs on a session built with it.
+// cluster or buffer pool: every field defaults to "inherit the session
+// value". The cluster itself — node count, simulated interconnect, fault
+// injection — and the out-of-core storage — buffer-pool budget, spill
+// directory, page size — are configured once per session; an execution
+// that needs different ones runs on a session built with them.
 //
 // The fields shared with CleanDBOptions are generated from
 // CLEANM_SESSION_KNOBS (cleaning/session_knobs.h) so the session default,
@@ -26,15 +27,6 @@
 //     OnViolationNew. false forces a full (cold) execution and also
 //     disables the planner's delta-extended scan rebuild. See DESIGN.md,
 //     "Incremental validation & the delta log".
-//   buffer_pool_bytes — buffer-pool byte budget for this execution.
-//     Overriding away from the session value runs the call under an
-//     execution-local pool; 0 disables spilling for this call even on an
-//     out-of-core session (paged table scans also revert to the resident
-//     datasets).
-//   spill_dir — directory for this execution's spill file (empty = system
-//     temp dir); created lazily on first spill, removed on close on every
-//     exit path.
-//   page_bytes — page granularity of this execution's spill file.
 //   profile — record operator-level tracing spans and attach a
 //     QueryProfile to the QueryResult (CI-gated ≤ 2% overhead when off).
 //   trace_path — when profiling, additionally write the spans as

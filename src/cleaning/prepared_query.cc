@@ -383,7 +383,7 @@ std::string PreparedQuery::Explain(const ExecOptions& opts) const {
         out += "  [not registered yet; binds at execute]";
       } else {
         out += "  [generation " + std::to_string(gen) +
-               "; partitioned scan cached per node width]";
+               "; partitioned scan cached]";
       }
     }
     out += '\n';
@@ -491,29 +491,17 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   const size_t max_quarantined = opts.max_quarantined_rows.value_or(0);
   engine::QuarantineSink quarantine(max_quarantined);
 
-  // Out-of-core wiring: resolve the effective pool budget (per-call
-  // override, else session default). The session pool serves unless the
-  // budget is overridden, in which case an execution-local pool applies it;
-  // budget 0 disables paged scans and breaker spilling for this call. The
-  // spill context is stack-owned, so its lazily-created temp file is
-  // unlinked on every exit path — success, sink abort, cancellation or
-  // deadline unwind, retry exhaustion — purely by scope exit.
-  const uint64_t pool_bytes = knobs.buffer_pool_bytes;
-  const size_t page_bytes = knobs.page_bytes;
-  const std::string spill_dir = knobs.spill_dir;
-  std::unique_ptr<BufferPool> local_pool;
-  BufferPool* pool = nullptr;
-  if (pool_bytes > 0) {
-    if (pool_ && !opts.buffer_pool_bytes.has_value()) {
-      pool = pool_.get();
-    } else {
-      local_pool = std::make_unique<BufferPool>(pool_bytes);
-      pool = local_pool.get();
-    }
-  }
+  // Out-of-core wiring: on an out-of-core session, breakers spill through
+  // a per-execution context over the session pool. The context is
+  // stack-owned, so its lazily-created temp file is unlinked on every exit
+  // path — success, sink abort, cancellation or deadline unwind, retry
+  // exhaustion — purely by scope exit.
   std::optional<SpillContext> spill;
-  if (pool != nullptr) spill.emplace(spill_dir, page_bytes, pool_bytes, pool);
-  const BufferPool::Stats pool_before = pool ? pool->stats() : BufferPool::Stats{};
+  if (pool_) {
+    spill.emplace(options_.spill_dir, options_.page_bytes,
+                  options_.buffer_pool_bytes, pool_.get());
+  }
+  const BufferPool::Stats pool_before = pool_ ? pool_->stats() : BufferPool::Stats{};
   const uint64_t session_spilled_before =
       session_spill_ ? session_spill_->bytes_spilled() : 0;
 
@@ -521,7 +509,6 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   Executor exec{cluster_.get(), &snapshot.catalog, options_.physical, &cache_,
                 pq.persist_cache_};
   exec.quarantine = max_quarantined > 0 ? &quarantine : nullptr;
-  exec.pool = pool;
   exec.spill = spill ? &*spill : nullptr;
   exec.delta_scan = knobs.incremental;
 
@@ -617,8 +604,8 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
     exec_metrics.bytes_spilled +=
         session_spill_->bytes_spilled() - session_spilled_before;
   }
-  if (pool != nullptr) {
-    const BufferPool::Stats pool_after = pool->stats();
+  if (pool_) {
+    const BufferPool::Stats pool_after = pool_->stats();
     exec_metrics.buffer_pool_hits += pool_after.hits - pool_before.hits;
     exec_metrics.buffer_pool_misses += pool_after.misses - pool_before.misses;
     exec_metrics.pages_evicted += pool_after.evictions - pool_before.evictions;

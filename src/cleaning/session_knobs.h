@@ -14,26 +14,22 @@
 // Only knobs with identical meaning at both scopes belong here. Knobs that
 // exist at a single scope stay hand-written in their respective structs:
 // the cluster configuration (num_nodes, shuffle_ns_per_byte,
-// shuffle_batch_rows, fault) is CleanDBOptions-only because a session's
-// cluster is configured once, at construction; admission_bytes,
-// deadline_ns and max_quarantined_rows are ExecOptions-only.
+// shuffle_batch_rows, fault) and the out-of-core storage
+// (buffer_pool_bytes, spill_dir, page_bytes) are CleanDBOptions-only
+// because a session's cluster and buffer pool are configured once, at
+// construction; admission_bytes, deadline_ns and max_quarantined_rows are
+// ExecOptions-only.
 //
 // X(type, name, default_value) — see exec_options.h / cleandb.h for the
 // per-knob documentation.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
-#include "storage/pagestore/page.h"
-
-#define CLEANM_SESSION_KNOBS(X)                          \
-  X(bool, unify_operations, true)                        \
-  X(size_t, morsel_rows, 4096)                           \
-  X(bool, incremental, true)                             \
-  X(uint64_t, buffer_pool_bytes, 0)                      \
-  X(std::string, spill_dir, std::string())               \
-  X(size_t, page_bytes, ::cleanm::kDefaultPageBytes)     \
-  X(bool, profile, false)                                \
+#define CLEANM_SESSION_KNOBS(X)            \
+  X(bool, unify_operations, true)          \
+  X(size_t, morsel_rows, 4096)             \
+  X(bool, incremental, true)               \
+  X(bool, profile, false)                  \
   X(std::string, trace_path, std::string())

@@ -4,7 +4,7 @@
 //
 // One SpillContext lives per execution (stack-owned inside
 // ExecutePrepared) or per session (the partition cache's write-back
-// target). Its backing SingleFileStore is created lazily on first spill
+// target); both read back through the session's one BufferPool. Its backing SingleFileStore is created lazily on first spill
 // and is remove-on-close, so the temp file disappears on *every* exit
 // path — success, sink abort, deadline/cancel unwinds, retry
 // exhaustion — purely by destructor order (the RAII satellite).
@@ -34,8 +34,8 @@ namespace cleanm {
 class SpillContext {
  public:
   /// `budget_bytes` is the pool byte budget spill decisions compare
-  /// against (0 disables spilling); `pool` serves the read-back pins and
-  /// must outlive the context.
+  /// against (0 disables spilling); `pool` (non-null) serves the read-back
+  /// pins and must outlive the context.
   SpillContext(std::string spill_dir, size_t page_bytes, uint64_t budget_bytes,
                BufferPool* pool)
       : spill_dir_(std::move(spill_dir)),

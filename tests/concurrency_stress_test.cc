@@ -428,13 +428,13 @@ TEST(ConcurrencyStressTest, MutateVersusUnregisterChurnStaysConsistent) {
 }
 
 TEST(ConcurrencyStressTest, RegisterVersusUnregisterNeverPublishesNullTable) {
-  // On an out-of-core session RegisterTable ingests the paged copy outside
-  // the table lock and then re-takes it to publish that copy — only if the
-  // registration is still current. An UnregisterTable landing in that
-  // window drops the name. Contracts under test: the publish check never
-  // re-creates the dropped name, so a lookup is always either kKeyError or
-  // a live dataset, and every execution returns a Status (OK, or kKeyError
-  // while the table is absent) instead of binding a null table.
+  // Registrations and unregistrations of one name race each other and a
+  // driver on an out-of-core session. Each publishes or drops the name in
+  // one critical section, so there is no window in which a half-done
+  // registration is visible. Contracts under test: a lookup is always
+  // either kKeyError or a live dataset, and every execution returns a
+  // Status (OK, or kKeyError while the table is absent) instead of binding
+  // a null table.
   CleanDBOptions opts = FastCleanDBOptions(4);
   opts.buffer_pool_bytes = 1 << 20;
   CleanDB db(opts);
@@ -482,7 +482,14 @@ TEST(ConcurrencyStressTest, RegisterVersusUnregisterNeverPublishesNullTable) {
       }
     }
   });
-  for (int round = 0; round < 60; round++) {
+  // Registration is cheap, so on a loaded machine 60 rounds can finish
+  // before the driver's first execution does; keep churning until a few
+  // executions have raced the churn (bounded, so a stuck driver still
+  // fails the executions check below instead of hanging).
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int round = 0; round < 60 || (executions.load() < 3 &&
+                                     std::chrono::steady_clock::now() < give_up);
+       round++) {
     db.RegisterTable("customer", customers);
     check_lookup("registrar");
   }

@@ -190,6 +190,20 @@ TEST(CleanDBTest, TermValidationSuggestsCorrectRepairs) {
             "jonathan smyth");
   EXPECT_EQ(result.violations[0].GetField("suggestion").ValueOrDie().AsString(),
             "jonathan smith");
+
+  // Each call registers a uniquely named temp table. Repeated calls give the
+  // same result, and once a call is done its temp table's counters are gone
+  // too, so they are not copied into every later execution's snapshot.
+  for (int call = 1; call < 4; call++) {
+    auto again = db.ValidateTerms("data", "c", "dict", "name", cb).ValueOrDie();
+    ASSERT_EQ(again.violations.size(), 1u);
+    EXPECT_TRUE(again.violations[0].Equals(result.violations[0])) << "call " << call;
+  }
+  for (int call = 0; call < 4; call++) {
+    const std::string tmp = "__dirty_data_" + std::to_string(call);
+    EXPECT_EQ(db.TableGeneration(tmp), 0u) << tmp;
+    EXPECT_EQ(db.TableMajor(tmp), 0u) << tmp;
+  }
 }
 
 TEST(CleanDBTest, UnifiedQueryCoalescesSharedGroupings) {

@@ -44,8 +44,7 @@ TEST(ExplainTest, FdPlanGolden) {
             "Select[(count(vals) > 1)]\n"
             "  Nest[by exact(c.address), vals=set(prefix(c.phone)), "
             "partition=bag(c)]\n"
-            "    Scan(customer as c)  [generation 1; partitioned scan cached "
-            "per node width]\n");
+            "    Scan(customer as c)  [generation 1; partitioned scan cached]\n");
 }
 
 TEST(ExplainTest, DedupPlanGolden) {
@@ -64,7 +63,7 @@ TEST(ExplainTest, DedupPlanGolden) {
             "      Select[(count(partition) > 1)]\n"
             "        Nest[by exact(c.address), partition=bag(c)]\n"
             "          Scan(customer as c)  [generation 1; partitioned scan "
-            "cached per node width]\n");
+            "cached]\n");
 }
 
 TEST(ExplainTest, DenialConstraintPlanGolden) {
@@ -80,10 +79,8 @@ TEST(ExplainTest, DenialConstraintPlanGolden) {
             "== DC ==\n"
             "Join[((t1.address = t2.address) and (t1.nationkey != "
             "t2.nationkey))]\n"
-            "  Scan(customer as t1)  [generation 1; partitioned scan cached "
-            "per node width]\n"
-            "  Scan(customer as t2)  [generation 1; partitioned scan cached "
-            "per node width]\n");
+            "  Scan(customer as t1)  [generation 1; partitioned scan cached]\n"
+            "  Scan(customer as t2)  [generation 1; partitioned scan cached]\n");
 }
 
 TEST(ExplainTest, SelectPlanGolden) {
@@ -97,8 +94,7 @@ TEST(ExplainTest, SelectPlanGolden) {
             "== SELECT ==\n"
             "Reduce[list / {address: key, count: agg0}]\n"
             "  Nest[by exact(c.address), agg0=count(c.name)]\n"
-            "    Scan(customer as c)  [generation 1; partitioned scan cached "
-            "per node width]\n");
+            "    Scan(customer as c)  [generation 1; partitioned scan cached]\n");
 }
 
 TEST(ExplainTest, SharedNestMarkedWhenUnified) {

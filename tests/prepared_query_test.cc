@@ -923,7 +923,9 @@ TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
 
   // A join-rooted plan (denial constraint) is structurally ineligible for
   // driver-side serving, but the delta-extended scan rebuild still spares
-  // it a full re-partition after a further mutation.
+  // it a full re-partition after each further mutation: an append, a
+  // delete, and an update whose removed image occurs twice (row 0 and its
+  // appended copy).
   datagen::LineitemOptions lopts;
   lopts.rows = 120;
   lopts.noise_fraction = 0.1;
@@ -934,20 +936,45 @@ TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
   auto dc_before = dc.value().Execute().ValueOrDie();
   EXPECT_EQ(dc_before.metrics.incremental_executions, 0u);
 
+  auto check_delta_scan_against_cold = [&](const char* mutation) {
+    SCOPED_TRACE(mutation);
+    auto dc_after = dc.value().Execute().ValueOrDie();
+    EXPECT_EQ(dc_after.metrics.incremental_executions, 0u);  // engine path
+    EXPECT_GT(dc_after.metrics.delta_rows_processed, 0u);    // delta scan rebuild
+    EXPECT_EQ(dc_after.metrics.rows_scanned, 0u);            // no re-partition
+
+    // Cross-check against a cold session over the mutated lineitem.
+    CleanDB cold_db(FastOptions());
+    cold_db.RegisterTable("lineitem", *db.GetTableShared("lineitem").ValueOrDie());
+    auto dc_cold = cold_db.PrepareDenialConstraint("lineitem", CloneExpr(pred.ValueOrDie()));
+    ASSERT_TRUE(dc_cold.ok());
+    auto dc_cold_result = dc_cold.value().Execute().ValueOrDie();
+    EXPECT_EQ(CanonicalSet(dc_after.ops[0].violations),
+              CanonicalSet(dc_cold_result.ops[0].violations));
+  };
+  auto same_row = [](const Row& target) {
+    return [target](const Schema&, const Row& r) {
+      for (size_t i = 0; i < r.size(); i++) {
+        if (!r[i].Equals(target[i])) return false;
+      }
+      return true;
+    };
+  };
+
   auto li = db.GetTableShared("lineitem").ValueOrDie();
   ASSERT_TRUE(db.AppendRows("lineitem", {li->row(0)}).ok());
-  auto dc_after = dc.value().Execute().ValueOrDie();
-  EXPECT_EQ(dc_after.metrics.incremental_executions, 0u);  // engine path
-  EXPECT_GT(dc_after.metrics.delta_rows_processed, 0u);    // delta scan rebuild
-  EXPECT_EQ(dc_after.metrics.rows_scanned, 0u);            // no re-partition
+  check_delta_scan_against_cold("AppendRows");
 
-  // Cross-check against a cold session over the mutated lineitem.
-  CleanDB cold_db(FastOptions());
-  cold_db.RegisterTable("lineitem", *db.GetTableShared("lineitem").ValueOrDie());
-  auto dc_cold = cold_db.PrepareDenialConstraint("lineitem", CloneExpr(pred.ValueOrDie()));
-  ASSERT_TRUE(dc_cold.ok());
-  auto dc_cold_result = dc_cold.value().Execute().ValueOrDie();
-  EXPECT_EQ(dc_after.ops[0].violations.size(), dc_cold_result.ops[0].violations.size());
+  auto deleted = db.DeleteRows("lineitem", same_row(li->row(5)));
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  ASSERT_EQ(deleted.value().rows_affected, 1u);
+  check_delta_scan_against_cold("DeleteRows");
+
+  auto updated = db.UpdateRows("lineitem", same_row(li->row(0)),
+                               ValueStruct{{"discount", Value(0.99)}});
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  ASSERT_EQ(updated.value().rows_affected, 2u);
+  check_delta_scan_against_cold("UpdateRows");
 }
 
 TEST(RepairSinkTest, CommitDeltaClosesTheFixpointIncrementally) {
