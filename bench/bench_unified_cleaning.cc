@@ -64,6 +64,8 @@ const char* kQuery = R"(
 
 struct SystemTimes {
   double fd1 = -1, fd2 = -1, dedup = -1, unified = -1;
+  /// Pair verifications of the run: only DEDUP compares pairs in kQuery.
+  uint64_t dedup_comparisons = 0;
 };
 
 SystemTimes RunCleanDB(bool unify) {
@@ -77,7 +79,41 @@ SystemTimes RunCleanDB(bool unify) {
   t.fd2 = result.ops[1].seconds;
   t.dedup = result.ops[2].seconds;
   t.unified = result.total_seconds;
+  t.dedup_comparisons = result.metrics.comparisons;
   return t;
+}
+
+// ---- Pair-verification counter: the similarity stage verifies each
+// distinct candidate pair once. E4's exact-key DEDUP cannot repeat a pair;
+// a token-filtering DEDUP puts each pair in every q-gram group its records
+// share, so its count is what grows if pairs are verified once per shared
+// group again. Fixed size, independent of --smoke.
+
+struct SimilarityPairs {
+  size_t tf_rows = 0;
+  uint64_t tf_comparisons = 0;
+  size_t tf_violations = 0;
+};
+
+SimilarityPairs RunTfDedupPairs() {
+  datagen::CustomerOptions copts;
+  copts.base_rows = 400;
+  copts.duplicate_fraction = 0.10;
+  copts.max_duplicates = 6;
+  copts.fd_violation_fraction = 0.05;
+  Dataset data = datagen::MakeCustomer(copts);
+  CleanDBOptions opts = BenchOptions();
+  opts.shuffle_ns_per_byte = 0;
+  CleanDB db(opts);
+  SimilarityPairs out;
+  out.tf_rows = data.num_rows();
+  db.RegisterTable("customer", std::move(data));
+  auto result =
+      db.Execute("SELECT * FROM customer c DEDUP(token filtering, LD, 0.8, c.address)")
+          .ValueOrDie();
+  out.tf_comparisons = result.metrics.comparisons;
+  out.tf_violations = result.ops[0].violations.size();
+  return out;
 }
 
 SystemTimes RunSparkSql() {
@@ -1125,6 +1161,13 @@ int main(int argc, char** argv) {
               "operations; verify unified(CleanDB) < separate-total(CleanDB) and "
               "unified(SparkSQL) > separate-total(SparkSQL).\n");
 
+  const SimilarityPairs pairs = RunTfDedupPairs();
+  std::printf("[measured] DEDUP pair verifications: %llu in E4's exact-key DEDUP; "
+              "%llu in a token-filtering DEDUP over %zu rows (%zu violations)\n",
+              static_cast<unsigned long long>(cdb_sep.dedup_comparisons),
+              static_cast<unsigned long long>(pairs.tf_comparisons), pairs.tf_rows,
+              pairs.tf_violations);
+
   std::printf("\n=== prepared-query A/B: cold Execute vs prepared re-execute "
               "(8 FDs, pure compute) ===\n");
   const PreparedAb ab = RunPreparedAb();
@@ -1345,9 +1388,33 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(dab.incremental_repartitions),
                   dab.identical ? 1 : 0);
     MergeJsonSection(out_path, "delta_incremental", delta_object);
+    char pairs_object[256];
+    std::snprintf(pairs_object, sizeof(pairs_object),
+                  "{\"e4_dedup_comparisons\": %llu, \"tf_dedup_rows\": %zu, "
+                  "\"tf_dedup_comparisons\": %llu}",
+                  static_cast<unsigned long long>(cdb_sep.dedup_comparisons),
+                  pairs.tf_rows, static_cast<unsigned long long>(pairs.tf_comparisons));
+    MergeJsonSection(out_path, "similarity_pairs", pairs_object);
   }
 
   if (check) {
+    // Pair-counter gate: a DEDUP that verified pairs without counting them
+    // would make the similarity work invisible (the JSON diff bounds the
+    // count from above).
+    if (cdb_sep.dedup_comparisons == 0 || pairs.tf_comparisons == 0) {
+      std::fprintf(stderr,
+                   "[check] FAILED: DEDUP counted %llu (E4) / %llu (token "
+                   "filtering) pair verifications; the comparisons counter is "
+                   "dead\n",
+                   static_cast<unsigned long long>(cdb_sep.dedup_comparisons),
+                   static_cast<unsigned long long>(pairs.tf_comparisons));
+      return 1;
+    }
+    std::printf("[check] pair-counter gate passed (%llu E4 / %llu token-filtering "
+                "DEDUP verifications)\n",
+                static_cast<unsigned long long>(cdb_sep.dedup_comparisons),
+                static_cast<unsigned long long>(pairs.tf_comparisons));
+
     // CI gate: prepared re-execution must stay clearly ahead of a cold
     // one-shot Execute (target ≥2×), and it must really skip
     // re-partitioning — otherwise the plan/partition reuse has regressed.

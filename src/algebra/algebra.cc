@@ -1,5 +1,6 @@
 #include "algebra/algebra.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace cleanm {
@@ -15,8 +16,37 @@ const char* AlgKindName(AlgKind kind) {
     case AlgKind::kReduce: return "Reduce";
     case AlgKind::kNest: return "Nest";
     case AlgKind::kProject: return "Project";
+    case AlgKind::kPairs: return "Pairs";
   }
   return "?";
+}
+
+Status ForEachGroupKey(const GroupSpec& group, const Value& term,
+                       const std::function<void(Value key)>& emit) {
+  if (group.algo == FilteringAlgo::kExactKey) {
+    emit(term);
+    return Status::OK();
+  }
+  if (term.type() != ValueType::kString) {
+    return Status::TypeError(group.algo == FilteringAlgo::kTokenFiltering
+                                 ? "token filtering requires a string term"
+                                 : "k-means grouping requires a string term");
+  }
+  if (group.algo == FilteringAlgo::kTokenFiltering) {
+    std::vector<std::string_view> grams = QGramViews(term.AsString(), group.q);
+    std::sort(grams.begin(), grams.end());
+    grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
+    for (const auto g : grams) emit(Value(std::string(g)));
+    return Status::OK();
+  }
+  if (group.centers.empty()) {
+    return Status::InvalidArgument(
+        "k-means grouping without sampled centers; the planner must fill "
+        "GroupSpec::centers first");
+  }
+  SinglePassKMeans km(group.centers.size(), group.delta, /*seed=*/0);
+  for (const auto& a : km.Assign({term.AsString()}, group.centers)) emit(Value(a.key));
+  return Status::OK();
 }
 
 namespace {
@@ -85,6 +115,20 @@ std::string AlgOp::Headline() const {
       }
       if (having) os << ", having " << having->ToString();
       os << ']';
+      break;
+    case AlgKind::kPairs:
+      os << '[' << pairs.left_var << ", " << pairs.right_var << " <- ";
+      if (pairs.ordered) {
+        os << pairs.left->ToString() << ", " << pairs.left_var << " < "
+           << pairs.right_var;
+      } else {
+        os << pairs.left->ToString() << " x " << pairs.right->ToString() << ", "
+           << pairs.left_var << " != " << pairs.right_var;
+      }
+      os << ", similar(" << SimilarityMetricName(pairs.metric) << ", "
+         << pairs.text->ToString() << ", " << pairs.theta << "), owner "
+         << AlgoName(pairs.keys.algo) << '(' << pairs.keys.term->ToString()
+         << ") of " << pairs.key_name << ']';
       break;
     case AlgKind::kProject:
       os << '[';
@@ -181,6 +225,13 @@ AlgOpPtr ProjectOp(AlgOpPtr input, std::vector<ProjectColumn> columns) {
   return op;
 }
 
+AlgOpPtr PairsOp(AlgOpPtr input, PairSpec pairs) {
+  auto op = Make(AlgKind::kPairs);
+  op->input = std::move(input);
+  op->pairs = std::move(pairs);
+  return op;
+}
+
 Value ProjectTuple(const Value& tuple, const std::vector<ProjectColumn>& columns) {
   ValueStruct out;
   out.reserve(columns.size());
@@ -189,6 +240,11 @@ Value ProjectTuple(const Value& tuple, const std::vector<ProjectColumn>& columns
     out.emplace_back(c.name, field.ok() ? field.MoveValue() : Value::Null());
   }
   return Value(std::move(out));
+}
+
+bool SameGroupSpec(const GroupSpec& a, const GroupSpec& b) {
+  return a.algo == b.algo && ExprEquals(a.term, b.term) && a.q == b.q &&
+         a.k == b.k && a.delta == b.delta && a.centers == b.centers;
 }
 
 bool AlgEquals(const AlgOpPtr& a, const AlgOpPtr& b) {
@@ -201,9 +257,15 @@ bool AlgEquals(const AlgOpPtr& a, const AlgOpPtr& b) {
   if (!ExprEquals(a->right_key, b->right_key)) return false;
   if (!ExprEquals(a->path, b->path) || a->path_var != b->path_var) return false;
   if (a->monoid != b->monoid || !ExprEquals(a->head, b->head)) return false;
-  if (a->group.algo != b->group.algo || !ExprEquals(a->group.term, b->group.term) ||
-      a->group.q != b->group.q || a->group.k != b->group.k ||
-      a->group.delta != b->group.delta || a->group.centers != b->group.centers) {
+  if (!SameGroupSpec(a->group, b->group)) return false;
+  const PairSpec& pa = a->pairs;
+  const PairSpec& pb = b->pairs;
+  if (!ExprEquals(pa.left, pb.left) || !ExprEquals(pa.right, pb.right) ||
+      pa.left_var != pb.left_var || pa.right_var != pb.right_var ||
+      pa.ordered != pb.ordered || pa.member != pb.member ||
+      !ExprEquals(pa.text, pb.text) || pa.metric != pb.metric ||
+      pa.theta != pb.theta || !SameGroupSpec(pa.keys, pb.keys) ||
+      pa.key_name != pb.key_name) {
     return false;
   }
   if (a->aggs.size() != b->aggs.size()) return false;
@@ -237,6 +299,10 @@ AlgOpPtr AlgClone(const AlgOpPtr& op) {
   c->group.term = CloneExpr(op->group.term);
   c->having = CloneExpr(op->having);
   for (auto& agg : c->aggs) agg.expr = CloneExpr(agg.expr);
+  c->pairs.left = CloneExpr(op->pairs.left);
+  c->pairs.right = CloneExpr(op->pairs.right);
+  c->pairs.text = CloneExpr(op->pairs.text);
+  c->pairs.keys.term = CloneExpr(op->pairs.keys.term);
   return c;
 }
 

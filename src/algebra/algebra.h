@@ -21,6 +21,12 @@
 //                   filtering / k-means), in which case one tuple may join
 //                   several groups — the algebra-level form of the pruning
 //                   monoids of Section 4.3.
+//   Pairs           the similarity stage of DEDUP / CLUSTER BY: one group
+//                   tuple in, its similar member pairs out. Under a
+//                   grouping monoid a pair sits in every group its members
+//                   share; only its *owner group* verifies and emits it
+//                   (PairSpec, PairOwnerRank), so each candidate pair is
+//                   checked once.
 //
 // Tuples at this level are variable environments: a Value struct mapping
 // each bound variable to its record. tests/algebra_test.cc checks the
@@ -28,6 +34,7 @@
 // interpreter.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,6 +54,7 @@ enum class AlgKind {
   kReduce,
   kNest,
   kProject,
+  kPairs,
 };
 
 const char* AlgKindName(AlgKind kind);
@@ -65,6 +73,52 @@ struct GroupSpec {
   double delta = 1.0;
   std::vector<std::string> centers;
 };
+
+/// Calls `emit` with each group key a grouping term's value falls into
+/// under `group` — the one definition of the keying, shared by the Nest
+/// (both evaluators) and the Pairs owner rule. Exact grouping yields the
+/// value itself; token filtering its distinct q-grams, in order; k-means
+/// the centers it is assigned to. A non-string value under a grouping
+/// monoid is a TypeError (the physical Nest skips such a row) and k-means
+/// without sampled centers an InvalidArgument; either emits no key.
+Status ForEachGroupKey(const GroupSpec& group, const Value& term,
+                       const std::function<void(Value key)>& emit);
+
+/// How a Pairs operator forms, owns and verifies the candidate pairs of
+/// one group tuple.
+struct PairSpec {
+  /// Member collections of the group tuple and the variables a pair binds
+  /// them to. `ordered` pairs one collection with itself (`right` names
+  /// the same one), each left < right pair once (DEDUP); otherwise every
+  /// left ≠ right pair of two collections (CLUSTER BY).
+  ExprPtr left, right;
+  std::string left_var, right_var;
+  bool ordered = true;
+  /// The variable `text` and `keys.term` bind a member of either side to.
+  std::string member;
+  /// Member → the string the metric compares. A null text compares as
+  /// "" and any other non-string text matches nothing (the reference
+  /// evaluator reports it as a TypeError), as `similar`'s arguments do.
+  ExprPtr text;
+  SimilarityMetric metric = SimilarityMetric::kLevenshtein;
+  double theta = 0;
+  /// The upstream Nest's key derivation, re-applied to a pair's members by
+  /// the owner rule, and the group-tuple field holding this group's key.
+  GroupSpec keys;
+  std::string key_name = "key";
+};
+
+/// The owner rule. A pair is verified and emitted only in its owner group:
+/// among the keys both members share, the one of least PairOwnerRank (ties
+/// broken by key order). The rank hashes the key under a per-pair seed,
+/// so a key every member shares (a gram common to all rows) owns only a
+/// share of its pairs instead of all of them.
+inline uint64_t PairSeed(uint64_t left_hash, uint64_t right_hash) {
+  return HashCombine(left_hash, right_hash);
+}
+inline uint64_t PairOwnerRank(uint64_t pair_seed, uint64_t key_hash) {
+  return HashCombine(pair_seed, key_hash);
+}
 
 /// One aggregation computed by a Nest: fold `expr` over the group members
 /// with `monoid`, exposing the result as field `name`.
@@ -118,6 +172,9 @@ struct AlgOp {
   // kProject: the output tuple's fields, in order.
   std::vector<ProjectColumn> columns;
 
+  // kPairs
+  PairSpec pairs;
+
   /// One-line rendering of this operator alone, e.g. `Select[p]`.
   std::string Headline() const;
   /// The whole plan tree, one Headline per line, children indented.
@@ -135,11 +192,15 @@ AlgOpPtr ReduceOp(AlgOpPtr input, std::string monoid, ExprPtr head);
 AlgOpPtr NestOp(AlgOpPtr input, GroupSpec group, std::vector<NestAgg> aggs,
                 ExprPtr having = nullptr, std::string key_name = "key");
 AlgOpPtr ProjectOp(AlgOpPtr input, std::vector<ProjectColumn> columns);
+AlgOpPtr PairsOp(AlgOpPtr input, PairSpec pairs);
 
 /// A Project's semantics, shared by every evaluator: the struct
 /// {c.name: tuple.c.from} over `columns` in order (a missing input field
 /// projects to null).
 Value ProjectTuple(const Value& tuple, const std::vector<ProjectColumn>& columns);
+
+/// Structural equality of two key derivations.
+bool SameGroupSpec(const GroupSpec& a, const GroupSpec& b);
 
 /// Deep structural equality of plans (used by the rewriter to detect
 /// shareable sub-plans).

@@ -37,6 +37,11 @@ std::vector<std::string> CollectVars(const AlgOpPtr& plan) {
     case AlgKind::kProject:
       for (const auto& c : plan->columns) vars.push_back(c.name);
       return vars;
+    case AlgKind::kPairs:
+      vars = CollectVars(plan->input);
+      vars.push_back(plan->pairs.left_var);
+      vars.push_back(plan->pairs.right_var);
+      return vars;
     case AlgKind::kJoin:
     case AlgKind::kOuterJoin: {
       vars = CollectVars(plan->input);
@@ -70,38 +75,62 @@ Value MergeTuples(const Value& a, const Value& b) {
 Result<std::vector<Value>> GroupKeys(const GroupSpec& group, const Env& env,
                                      const EvalContext& ctx) {
   CLEANM_ASSIGN_OR_RETURN(Value term, EvalExpr(group.term, env, ctx));
-  switch (group.algo) {
-    case FilteringAlgo::kExactKey:
-      return std::vector<Value>{term};
-    case FilteringAlgo::kTokenFiltering: {
-      if (term.type() != ValueType::kString) {
-        return Status::TypeError("token filtering requires a string term");
-      }
-      auto grams = QGrams(term.AsString(), group.q);
-      std::sort(grams.begin(), grams.end());
-      grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
-      std::vector<Value> keys;
-      keys.reserve(grams.size());
-      for (auto& g : grams) keys.push_back(Value(std::move(g)));
-      return keys;
+  std::vector<Value> keys;
+  CLEANM_RETURN_NOT_OK(
+      ForEachGroupKey(group, term, [&](Value key) { keys.push_back(std::move(key)); }));
+  return keys;
+}
+
+/// The elements an Unnest-style traversal of `coll` visits: none for null
+/// or an empty list, the value itself for a non-list scalar.
+std::vector<Value> Members(const Value& coll) {
+  if (coll.is_null()) return {};
+  if (coll.type() != ValueType::kList) return {coll};
+  return coll.AsList();
+}
+
+/// One member of a Pairs group: its comparison text and its group keys.
+struct PairMember {
+  Value value;
+  std::string text;
+  std::vector<Value> keys;
+};
+
+Result<PairMember> EvalPairMember(const PairSpec& spec, const Value& value,
+                                  const EvalContext& ctx) {
+  PairMember m;
+  m.value = value;
+  Env env;
+  env[spec.member] = value;
+  CLEANM_ASSIGN_OR_RETURN(Value text, EvalExpr(spec.text, env, ctx));
+  if (text.type() == ValueType::kString) {
+    m.text = text.AsString();
+  } else if (!text.is_null()) {
+    return Status::TypeError("similar: expected string, got " +
+                             std::string(ValueTypeName(text.type())));
+  }
+  CLEANM_ASSIGN_OR_RETURN(m.keys, GroupKeys(spec.keys, env, ctx));
+  return m;
+}
+
+/// The owner rule, stated directly: `key` owns the pair (a, b) when no
+/// other key both members share ranks lower.
+bool OwnsPair(const Value& key, const PairMember& a, const PairMember& b) {
+  const uint64_t seed = PairSeed(a.value.Hash(), b.value.Hash());
+  const Value* owner = nullptr;
+  uint64_t owner_rank = 0;
+  for (const auto& k : a.keys) {
+    if (std::none_of(b.keys.begin(), b.keys.end(),
+                     [&](const Value& o) { return o.Equals(k); })) {
+      continue;
     }
-    case FilteringAlgo::kKMeans: {
-      if (term.type() != ValueType::kString) {
-        return Status::TypeError("k-means grouping requires a string term");
-      }
-      if (group.centers.empty()) {
-        return Status::InvalidArgument(
-            "k-means Nest evaluated without sampled centers; the planner "
-            "must fill GroupSpec::centers first");
-      }
-      SinglePassKMeans km(group.centers.size(), group.delta, /*seed=*/0);
-      auto assignments = km.Assign({term.AsString()}, group.centers);
-      std::vector<Value> keys;
-      for (const auto& a : assignments) keys.push_back(Value(a.key));
-      return keys;
+    const uint64_t rank = PairOwnerRank(seed, k.Hash());
+    if (!owner || rank < owner_rank || (rank == owner_rank && k.Compare(*owner) < 0)) {
+      owner = &k;
+      owner_rank = rank;
     }
   }
-  return Status::Internal("unhandled grouping algo");
+  return owner != nullptr && owner->Equals(key);
 }
 
 /// Builds the expression-evaluation context from the catalog: registered
@@ -275,6 +304,43 @@ Result<std::vector<Value>> Eval(const AlgOpPtr& plan, const Catalog& catalog,
       std::vector<Value> out;
       out.reserve(in.size());
       for (const auto& tuple : in) out.push_back(ProjectTuple(tuple, plan->columns));
+      return out;
+    }
+    case AlgKind::kPairs: {
+      CLEANM_ASSIGN_OR_RETURN(std::vector<Value> in, Eval(plan->input, catalog, ctx));
+      const PairSpec& spec = plan->pairs;
+      if (spec.metric == SimilarityMetric::kEuclidean) {
+        return Status::InvalidArgument("Pairs: euclidean is not a string metric");
+      }
+      const bool exact = spec.keys.algo == FilteringAlgo::kExactKey;
+      std::vector<Value> out;
+      for (const auto& tuple : in) {
+        const Env env = TupleToEnv(tuple);
+        CLEANM_ASSIGN_OR_RETURN(Value key, EvalExpr(Var(spec.key_name), env, ctx));
+        CLEANM_ASSIGN_OR_RETURN(Value left, EvalExpr(spec.left, env, ctx));
+        CLEANM_ASSIGN_OR_RETURN(Value right, EvalExpr(spec.right, env, ctx));
+        std::vector<PairMember> lm, rm;
+        for (const auto& v : Members(left)) {
+          CLEANM_ASSIGN_OR_RETURN(PairMember m, EvalPairMember(spec, v, ctx));
+          lm.push_back(std::move(m));
+        }
+        for (const auto& v : Members(right)) {
+          CLEANM_ASSIGN_OR_RETURN(PairMember m, EvalPairMember(spec, v, ctx));
+          rm.push_back(std::move(m));
+        }
+        for (const auto& a : lm) {
+          for (const auto& b : rm) {
+            const int order = a.value.Compare(b.value);
+            if (spec.ordered ? order >= 0 : order == 0) continue;
+            if (!exact && !OwnsPair(key, a, b)) continue;
+            if (!StringSimilarAtLeast(spec.metric, a.text, b.text, spec.theta)) continue;
+            ValueStruct padded = tuple.AsStruct();
+            padded.emplace_back(spec.left_var, a.value);
+            padded.emplace_back(spec.right_var, b.value);
+            out.push_back(Value(std::move(padded)));
+          }
+        }
+      }
       return out;
     }
     case AlgKind::kReduce:

@@ -114,18 +114,13 @@ AlgOpPtr Rewrite(const AlgOpPtr& plan, RewriteStats* stats, bool* changed) {
   return node;
 }
 
-bool SameGroup(const GroupSpec& a, const GroupSpec& b) {
-  return a.algo == b.algo && ExprEquals(a.term, b.term) && a.q == b.q && a.k == b.k &&
-         a.delta == b.delta && a.centers == b.centers;
-}
-
-/// Walks from a root through unary Select/Unnest/Reduce nodes to a Nest;
+/// Walks from a root through unary Select/Unnest/Pairs/Reduce nodes to a Nest;
 /// records the chain outer-to-inner so it can be rebuilt over the shared
 /// node. Reduce appears here since user GROUP BY queries project their
 /// group tuples through a Reduce root (see cleaning/select_builder.cc), and
 /// their Nest stage must still coalesce with the built-in cleaning plans.
 struct NestAccess {
-  std::vector<AlgOpPtr> chain;  // Select/Unnest/Reduce nodes, outermost first
+  std::vector<AlgOpPtr> chain;  // Select/Unnest/Pairs/Reduce nodes, outermost first
   AlgOpPtr nest;
 };
 
@@ -133,7 +128,8 @@ NestAccess FindNest(const AlgOpPtr& root) {
   NestAccess access;
   AlgOpPtr cur = root;
   while (cur && (cur->kind == AlgKind::kSelect || cur->kind == AlgKind::kUnnest ||
-                 cur->kind == AlgKind::kOuterUnnest || cur->kind == AlgKind::kReduce)) {
+                 cur->kind == AlgKind::kOuterUnnest || cur->kind == AlgKind::kPairs ||
+                 cur->kind == AlgKind::kReduce)) {
     access.chain.push_back(cur);
     cur = cur->input;
   }
@@ -183,7 +179,7 @@ CoalescedPlans CoalesceNests(const std::vector<AlgOpPtr>& plans, RewriteStats* s
     size_t target = shared.size();
     for (size_t s = 0; s < shared.size(); s++) {
       if (AlgEquals(shared[s].node->input, access.nest->input) &&
-          SameGroup(shared[s].node->group, access.nest->group) &&
+          SameGroupSpec(shared[s].node->group, access.nest->group) &&
           shared[s].node->key_name == access.nest->key_name) {
         target = s;
         break;

@@ -40,15 +40,6 @@ ExprPtr CombineAttrs(const std::vector<ExprPtr>& attrs) {
   return Call("concat", std::move(args));
 }
 
-const char* MetricName(SimilarityMetric metric) {
-  switch (metric) {
-    case SimilarityMetric::kLevenshtein: return "LD";
-    case SimilarityMetric::kJaccard: return "jaccard";
-    case SimilarityMetric::kEuclidean: return "euclidean";
-  }
-  return "?";
-}
-
 namespace {
 
 GroupSpec MakeGroupSpec(FilteringAlgo algo, ExprPtr term,
@@ -106,19 +97,23 @@ Result<CleaningPlan> BuildDedupPlan(const std::string& table, const std::string&
   AlgOpPtr nest = NestOp(Scan(table, var), std::move(group), std::move(aggs),
                          std::move(having));
 
-  // Pairwise comparison within each group: unnest the partition twice,
-  // order the pair (p1 < p2) to emit each candidate once, then apply the
-  // similarity predicate over the records' text.
-  AlgOpPtr pairs = UnnestOp(UnnestOp(nest, Var("partition"), "p1"),
-                            Var("partition"), "p2");
-  ExprPtr ordered = Binary(BinaryOp::kLt, Var("p1"), Var("p2"));
-  ExprPtr similar = Call("similar", {ConstString(MetricName(dedup.metric)),
-                                     Call("to_string", {Var("p1")}),
-                                     Call("to_string", {Var("p2")}),
-                                     ConstDouble(dedup.theta)});
+  // Pairwise comparison within each group: each p1 < p2 pair of the
+  // partition once, in its owner group, by the similarity of the records'
+  // text.
+  PairSpec pairs;
+  pairs.left = Var("partition");
+  pairs.right = Var("partition");
+  pairs.left_var = "p1";
+  pairs.right_var = "p2";
+  pairs.ordered = true;
+  pairs.member = var;
+  pairs.text = Call("to_string", {Var(var)});
+  pairs.metric = dedup.metric;
+  pairs.theta = dedup.theta;
+  pairs.keys = nest->group;
   CleaningPlan out;
   out.op_name = "DEDUP";
-  out.plan = SelectOp(std::move(pairs), Binary(BinaryOp::kAnd, ordered, similar));
+  out.plan = PairsOp(std::move(nest), std::move(pairs));
   out.entity_vars = {"p1", "p2"};
   return out;
 }
@@ -143,17 +138,24 @@ Result<CleaningPlan> BuildTermValidationPlan(
 
   // Compare only clusters with the same grouping key (Section 4.4).
   AlgOpPtr joined = EquiJoinOp(data_nest, dict_nest, Var("key"), Var("dkey"));
-  AlgOpPtr exploded = UnnestOp(UnnestOp(joined, Var("terms"), "term"),
-                               Var("dict_terms"), "suggestion");
   // A violation couples a dirty term with a similar dictionary term; exact
-  // dictionary matches are clean and excluded.
-  ExprPtr not_in_dict = Binary(BinaryOp::kNe, Var("term"), Var("suggestion"));
-  ExprPtr similar = Call("similar", {ConstString(MetricName(cb.metric)), Var("term"),
-                                     Var("suggestion"), ConstDouble(cb.theta)});
+  // dictionary matches are clean and excluded. Both sides' keys derive
+  // from the term value itself.
+  PairSpec pairs;
+  pairs.left = Var("terms");
+  pairs.right = Var("dict_terms");
+  pairs.left_var = "term";
+  pairs.right_var = "suggestion";
+  pairs.ordered = false;
+  pairs.member = "term";
+  pairs.text = Var("term");
+  pairs.metric = cb.metric;
+  pairs.theta = cb.theta;
+  pairs.keys = data_group;
+  pairs.keys.term = Var("term");
   CleaningPlan out;
   out.op_name = "CLUSTER BY";
-  out.plan = SelectOp(std::move(exploded),
-                      Binary(BinaryOp::kAnd, not_in_dict, similar));
+  out.plan = PairsOp(std::move(joined), std::move(pairs));
   out.entity_vars = {"term", "suggestion"};
   return out;
 }

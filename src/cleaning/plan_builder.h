@@ -14,13 +14,18 @@
 //                     for(g, p1 <- g.partition, p2 <- g.partition,
 //                         similar(m, p1, p2, θ)) yield bag (p1, p2)
 //                     → Nest[op attrs; partition=bag(c); |partition|>1]
-//                       → Unnest(p1) → Unnest(p2)
-//                       → Select(p1 < p2 ∧ similar(m, p1, p2, θ))
+//                       → Pairs[p1, p2 <- partition, p1 < p2,
+//                               similar(m, to_string(c), θ), owner op(attrs)]
 //
 //   CLUSTER BY(op, m, θ, term)   (dictionary = second FROM table)
 //                     → Nest over data terms ⋈(key) Nest over dictionary
-//                       → Unnest both term sets
-//                       → Select(term ≠ dict ∧ similar(m, term, dict, θ))
+//                       → Pairs[term <- terms × suggestion <- dict_terms,
+//                               term ≠ suggestion, similar(m, term, θ),
+//                               owner op(term)]
+//
+// Pairs (algebra.h) verifies each candidate pair once, in its owner group:
+// under a grouping monoid a pair shares several groups, and only the one
+// the owner rule picks emits it, carrying that group's key and members.
 //
 // The builders return plain algebra plans; CoalesceNests + the physical
 // executor provide the Figure-1 work sharing when a query carries several
@@ -53,9 +58,6 @@ struct CleaningPlan {
 /// a single expression stays as is; several become concat(a, '|', b, ...).
 ExprPtr CombineAttrs(const std::vector<ExprPtr>& attrs);
 
-/// Metric name as the `similar` builtin expects ("LD", "jaccard").
-const char* MetricName(SimilarityMetric metric);
-
 /// FD plan over `table` bound as `var`.
 Result<CleaningPlan> BuildFdPlan(const std::string& table, const std::string& var,
                                  const FdClause& fd);
@@ -80,10 +82,10 @@ Result<CleaningPlan> BuildTermValidationPlan(
 ExprPtr FdComprehension(const std::string& table, const std::string& var,
                         const FdClause& fd);
 
-/// \brief Streaming-capable entity-projection dedup: filtering monoids
-/// assign one record to several groups (one per shared token / center), so
-/// the same violating pair can surface once per shared group, and only its
-/// first occurrence must reach the sink.
+/// \brief Streaming-capable entity-projection dedup: one entity projection
+/// can surface more than once (a DEDUP partition holding two identical
+/// records yields the same (p1, p2) twice), and only its first occurrence
+/// must reach the sink.
 ///
 /// The seen-set persists across calls, so morsel boundaries cannot change
 /// which violations are emitted. ViolationReport (cleaning/violation_sink.h)

@@ -342,11 +342,7 @@ Result<Value> EvalBuiltin(const std::string& name, const std::vector<Value>& arg
     }
     CLEANM_ASSIGN_OR_RETURN(std::string a, StringArg(name, args[1]));
     CLEANM_ASSIGN_OR_RETURN(std::string b, StringArg(name, args[2]));
-    const double theta = args[3].ToDouble();
-    if (metric == SimilarityMetric::kLevenshtein) {
-      return Value(LevenshteinSimilarAtLeast(a, b, theta));  // early-exit path
-    }
-    return Value(StringSimilarity(metric, a, b) >= theta);
+    return Value(StringSimilarAtLeast(metric, a, b, args[3].ToDouble()));
   }
   if (name == "year") return DatePart(name, args, 0);
   if (name == "month") return DatePart(name, args, 1);

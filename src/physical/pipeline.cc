@@ -8,7 +8,7 @@
 //   MorselSource → Transform* → SinkDriver
 //
 // A plan decomposes from the root downward: CompileTransforms composes the
-// Select / Unnest / Project stages into one per-row expansion (no
+// Select / Unnest / Project / Pairs stages into one per-row expansion (no
 // intermediate buffers at all; the incremental validator runs the same
 // expansion over re-finalized groups), and the walk stops at
 // TransformSource, a pipeline *breaker* — Scan (resident in the
@@ -153,7 +153,8 @@ Result<Executor::PipelineSegment> CollectInput(Executor* ex, const AlgOpPtr& pla
 
 bool IsTransform(AlgKind kind) {
   return kind == AlgKind::kSelect || kind == AlgKind::kUnnest ||
-         kind == AlgKind::kOuterUnnest || kind == AlgKind::kProject;
+         kind == AlgKind::kOuterUnnest || kind == AlgKind::kProject ||
+         kind == AlgKind::kPairs;
 }
 
 const AlgOpPtr& TransformSource(const AlgOpPtr& plan) {
@@ -187,6 +188,8 @@ Result<engine::MorselExpand> CompileTransforms(const AlgOpPtr& plan,
       k = [columns, inner](Value t, Partition* out) {
         inner(ProjectTuple(t, columns), out);
       };
+    } else if (op->kind == AlgKind::kPairs) {
+      CLEANM_ASSIGN_OR_RETURN(k, CompilePairs(*op, layout, env, std::move(inner)));
     } else {  // kUnnest / kOuterUnnest
       CLEANM_ASSIGN_OR_RETURN(CompiledExpr path, CompileExpr(op->path, layout, env));
       const std::string var = op->path_var;
@@ -372,7 +375,7 @@ Status Executor::RunPipelined(
     return Status::InvalidArgument("Reduce root must go through RunToValue");
   }
   // The root operator span for the fused transform chain: Select / Unnest /
-  // Project stages compile into the segment's expansion, so the chain's
+  // Project / Pairs stages compile into the segment's expansion, so the chain's
   // work (and counter movement) lands here rather than on per-stage spans.
   TraceScope op_span("operator", AlgKindName(plan->kind), plan.get(), -1,
                      &cluster->metrics());

@@ -195,30 +195,11 @@ Result<Executor::CompiledNest> Executor::CompileNestStage(const AlgOpPtr& plan) 
   }
   CompiledNest compiled;
   compiled.expand = [term, group](const Value& tuple, Partition* out) {
-    const Value t = term(tuple);
-    switch (group.algo) {
-      case FilteringAlgo::kExactKey:
-        out->push_back(Row{t, tuple});
-        return;
-      case FilteringAlgo::kTokenFiltering: {
-        if (t.type() != ValueType::kString) return;  // dirty value: skip
-        auto grams = QGrams(t.AsString(), group.q);
-        std::sort(grams.begin(), grams.end());
-        grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
-        for (auto& g : grams) {
-          out->push_back(Row{Value(std::move(g)), tuple});
-        }
-        return;
-      }
-      case FilteringAlgo::kKMeans: {
-        if (t.type() != ValueType::kString) return;
-        SinglePassKMeans km(group.centers.size(), group.delta, 0);
-        for (const auto& a : km.Assign({t.AsString()}, group.centers)) {
-          out->push_back(Row{Value(a.key), tuple});
-        }
-        return;
-      }
-    }
+    // A dirty (non-string) term is an error that emits no key: the row
+    // joins no group.
+    (void)ForEachGroupKey(group, term(tuple), [&](Value key) {
+      out->push_back(Row{std::move(key), tuple});
+    });
   };
 
   // Monoid aggregation spec. Aggregation names resolve against the session

@@ -5,6 +5,8 @@
 //   Select      → filter stage of a morsel pipeline
 //   Unnest      → flatMap stage of a morsel pipeline
 //   Project     → per-tuple field mapping stage of a morsel pipeline
+//   Pairs       → per-group similarity stage of a morsel pipeline (each
+//                 candidate pair verified once, in its owner group)
 //   Reduce      → morsel-fed per-node fold + driver-side monoid merge
 //   Nest        → aggregate-by-key under the configured strategy: CleanDB
 //                 uses local pre-aggregation (aggregateByKey →
@@ -42,7 +44,7 @@ class SpillContext;
 using TupleSink = std::function<void(Value, engine::Partition*)>;
 
 /// True for the row-wise operators a pipeline segment fuses into one per-row
-/// expansion: Select, Unnest, OuterUnnest, Project.
+/// expansion: Select, Unnest, OuterUnnest, Project, Pairs.
 bool IsTransform(AlgKind kind);
 
 /// The first operator at or under `plan` that is not a transform: the
@@ -54,13 +56,21 @@ const AlgOpPtr& TransformSource(const AlgOpPtr& plan);
 /// Unnest expands with the padding/branching of the reference evaluator (a
 /// null or empty collection pads Null only under OuterUnnest, a non-list
 /// scalar behaves as a singleton); Project rebuilds the tuple from its
-/// columns. `terminal` consumes each produced tuple (default: append it as
-/// a physical row). This is the only definition of the transforms'
-/// per-row semantics: the executor's segments and the incremental
-/// validator both run it.
+/// columns; Pairs expands a group tuple into its owned similar pairs.
+/// `terminal` consumes each produced tuple (default: append it as a
+/// physical row). This is the only definition of the transforms' per-row
+/// semantics: the executor's segments and the incremental validator both
+/// run it.
 Result<engine::MorselExpand> CompileTransforms(const AlgOpPtr& plan,
                                                const CompileEnv& env,
                                                TupleSink terminal = nullptr);
+
+/// Compiles a Pairs operator whose input tuples have `layout` into a stage
+/// feeding `inner`: each group tuple expands into the member pairs it owns
+/// and finds similar, each verification charged to `env.metrics`'
+/// `comparisons` (pairs.cc).
+Result<TupleSink> CompilePairs(const AlgOp& op, const TupleLayout& layout,
+                               const CompileEnv& env, TupleSink inner);
 
 /// Knobs distinguishing CleanDB from the baseline systems.
 struct PhysicalOptions {

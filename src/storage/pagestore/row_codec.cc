@@ -100,9 +100,17 @@ void EncodeRow(const Row& row, std::string* out) {
   for (const auto& v : row) EncodeValue(v, out);
 }
 
-void EncodeRowChunk(const Row* rows, size_t count, std::string* out) {
-  PutU32(static_cast<uint32_t>(count), out);
-  for (size_t i = 0; i < count; i++) EncodeRow(rows[i], out);
+size_t EncodeRowChunk(const Row* rows, size_t count, std::string* out,
+                      size_t target_bytes) {
+  const size_t start = out->size();
+  PutU32(0, out);
+  size_t n = 0;
+  while (n < count && (n == 0 || out->size() - start < target_bytes)) {
+    EncodeRow(rows[n++], out);
+  }
+  const auto encoded = static_cast<uint32_t>(n);
+  std::memcpy(out->data() + start, &encoded, sizeof(encoded));
+  return n;
 }
 
 Result<Value> DecodeValue(const std::string& buf, size_t* pos) {

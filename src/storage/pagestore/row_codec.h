@@ -25,8 +25,11 @@ void EncodeValue(const Value& v, std::string* out);
 void EncodeRow(const Row& row, std::string* out);
 
 /// Appends a row chunk (u32 row count + rows) — the page payload format
-/// of spilled partition chunks.
-void EncodeRowChunk(const Row* rows, size_t count, std::string* out);
+/// of spilled partition chunks — and returns the number of rows it holds:
+/// all `count`, or the shortest prefix of at least one row whose chunk
+/// reaches `target_bytes`.
+size_t EncodeRowChunk(const Row* rows, size_t count, std::string* out,
+                      size_t target_bytes = SIZE_MAX);
 
 /// Decodes a value starting at `*pos`; advances `*pos`. Truncated or
 /// malformed input is a kIOError (corrupt page payload), never UB.

@@ -1,7 +1,5 @@
 #include "storage/pagestore/spill.h"
 
-#include <cstring>
-
 #include "common/trace.h"
 
 namespace cleanm {
@@ -16,32 +14,19 @@ Result<std::vector<PageSpan>> SpillContext::SpillRows(
                             SingleFileStore::CreateTemp(spill_dir_, "spill",
                                                         page_bytes_));
   }
+  // One row chunk per page: each chunk takes rows until it fills the
+  // page's payload (the last row may overflow it into the next slot).
+  const size_t target = store_->page_bytes() - sizeof(PageHeader);
   std::vector<PageSpan> spans;
-  std::string payload;
-  uint32_t pending = 0;
-  auto flush = [&]() -> Status {
-    if (pending == 0) return Status::OK();
+  for (size_t begin = 0; begin < rows.size();) {
     std::string chunk;
-    chunk.reserve(4 + payload.size());
-    char count[4];
-    std::memcpy(count, &pending, 4);
-    chunk.append(count, 4);
-    chunk.append(payload);
+    const size_t n = EncodeRowChunk(rows.data() + begin, rows.size() - begin, &chunk,
+                                    target);
     CLEANM_ASSIGN_OR_RETURN(uint64_t page_id, store_->AppendPage(chunk));
-    spans.push_back(PageSpan{page_id, pending});
+    spans.push_back(PageSpan{page_id, static_cast<uint32_t>(n)});
     bytes_spilled_.fetch_add(chunk.size());
-    payload.clear();
-    pending = 0;
-    return Status::OK();
-  };
-  for (size_t i = 0; i < rows.size(); i++) {
-    EncodeRow(rows[i], &payload);
-    pending++;
-    if (payload.size() + sizeof(PageHeader) + 4 >= store_->page_bytes()) {
-      CLEANM_RETURN_NOT_OK(flush());
-    }
+    begin += n;
   }
-  CLEANM_RETURN_NOT_OK(flush());
   return spans;
 }
 

@@ -46,18 +46,21 @@ bool LevenshteinSimilarAtLeast(std::string_view a, std::string_view b, double th
   return LevenshteinDistance(a, b, bound) <= bound;
 }
 
-std::vector<std::string> QGrams(std::string_view s, size_t q) {
+std::vector<std::string_view> QGramViews(std::string_view s, size_t q) {
   CLEANM_CHECK(q > 0);
-  std::vector<std::string> grams;
+  std::vector<std::string_view> grams;
   if (s.size() < q) {
-    grams.emplace_back(s);
+    grams.push_back(s);
     return grams;
   }
   grams.reserve(s.size() - q + 1);
-  for (size_t i = 0; i + q <= s.size(); i++) {
-    grams.emplace_back(s.substr(i, q));
-  }
+  for (size_t i = 0; i + q <= s.size(); i++) grams.push_back(s.substr(i, q));
   return grams;
+}
+
+std::vector<std::string> QGrams(std::string_view s, size_t q) {
+  const std::vector<std::string_view> views = QGramViews(s, q);
+  return std::vector<std::string>(views.begin(), views.end());
 }
 
 std::vector<std::string> WhitespaceTokens(std::string_view s) {
@@ -124,6 +127,15 @@ bool ParseSimilarityMetric(std::string_view name, SimilarityMetric* out) {
   return false;
 }
 
+const char* SimilarityMetricName(SimilarityMetric metric) {
+  switch (metric) {
+    case SimilarityMetric::kLevenshtein: return "LD";
+    case SimilarityMetric::kJaccard: return "jaccard";
+    case SimilarityMetric::kEuclidean: return "euclidean";
+  }
+  return "?";
+}
+
 double StringSimilarity(SimilarityMetric metric, std::string_view a, std::string_view b) {
   switch (metric) {
     case SimilarityMetric::kLevenshtein: return LevenshteinSimilarity(a, b);
@@ -132,6 +144,14 @@ double StringSimilarity(SimilarityMetric metric, std::string_view a, std::string
   }
   CLEANM_CHECK(false && "Euclidean metric requires numeric vectors");
   return 0;
+}
+
+bool StringSimilarAtLeast(SimilarityMetric metric, std::string_view a,
+                          std::string_view b, double theta) {
+  if (metric == SimilarityMetric::kLevenshtein) {
+    return LevenshteinSimilarAtLeast(a, b, theta);
+  }
+  return StringSimilarity(metric, a, b) >= theta;
 }
 
 }  // namespace cleanm

@@ -39,6 +39,9 @@ double JaccardTokenSimilarity(std::string_view a, std::string_view b);
 /// shorter than q yield the whole string as their single token.
 std::vector<std::string> QGrams(std::string_view s, size_t q);
 
+/// QGrams as views into `s`, which must outlive them.
+std::vector<std::string_view> QGramViews(std::string_view s, size_t q);
+
 /// Splits on runs of whitespace.
 std::vector<std::string> WhitespaceTokens(std::string_view s);
 
@@ -57,7 +60,18 @@ enum class SimilarityMetric {
 /// Returns false on unknown names.
 bool ParseSimilarityMetric(std::string_view name, SimilarityMetric* out);
 
+/// The metric's name as CleanM queries write it ("LD", "jaccard",
+/// "euclidean").
+const char* SimilarityMetricName(SimilarityMetric metric);
+
 /// Dispatches to the chosen string metric; Euclidean is not valid here.
 double StringSimilarity(SimilarityMetric metric, std::string_view a, std::string_view b);
+
+/// Thresholded check under the chosen string metric: true iff the
+/// similarity of `a` and `b` is at least `theta`. Levenshtein takes the
+/// early-exit distance bound (LevenshteinSimilarAtLeast). The kernel of the
+/// `similar` builtin and of the Pairs operator; Euclidean is not valid here.
+bool StringSimilarAtLeast(SimilarityMetric metric, std::string_view a,
+                          std::string_view b, double theta);
 
 }  // namespace cleanm

@@ -20,6 +20,7 @@
 #include "cleaning/plan_builder.h"
 #include "cleaning/prepared_query.h"
 #include "cleaning/select_builder.h"
+#include "cluster/filtering.h"
 #include "common/random.h"
 #include "datagen/generators.h"
 #include "monoid/eval.h"
@@ -589,30 +590,22 @@ std::vector<CleaningPlan> StandalonePlans(const std::string& query_text) {
   return plans;
 }
 
-/// Order-free rendering of one violation of `cp`: the whole tuple, or with
-/// `entities_only` just its entity fields — the sink deduplicates on those,
-/// so when one entity pair occurs in several groups (token filtering),
-/// which group's tuple survives depends on evaluation order.
-std::string CanonicalViolation(const CleaningPlan& cp, const Value& v,
-                               bool entities_only) {
-  if (!entities_only) return cp.op_name + "|" + CanonicalString(v);
-  ValueStruct projected;
-  for (const auto& var : cp.entity_vars) {
-    projected.emplace_back(var, v.GetField(var).ValueOrDie());
-  }
-  return cp.op_name + "|" + CanonicalString(Value(std::move(projected)));
+/// Order-free rendering of one violation of `cp`: the whole tuple. Under a
+/// grouping monoid each pair is emitted once, by its owner group, so even
+/// the group fields (`key`, `partition`, ...) are deterministic.
+std::string CanonicalViolation(const CleaningPlan& cp, const Value& v) {
+  return cp.op_name + "|" + CanonicalString(v);
 }
 
 /// The reference evaluator's violations: each standalone plan evaluated
 /// by algebra_eval and deduplicated like the session's sink.
 std::multiset<std::string> ReferenceViolations(const std::vector<CleaningPlan>& plans,
-                                               const Catalog& catalog,
-                                               bool entities_only = false) {
+                                               const Catalog& catalog) {
   std::multiset<std::string> out;
   for (const auto& cp : plans) {
     const Value result = EvalPlan(cp.plan, catalog).ValueOrDie();
     EXPECT_TRUE(ForEachDedupedViolation(result, cp, [&](const Value& v) {
-                  out.insert(CanonicalViolation(cp, v, entities_only));
+                  out.insert(CanonicalViolation(cp, v));
                   return Status::OK();
                 }).ok());
   }
@@ -621,8 +614,7 @@ std::multiset<std::string> ReferenceViolations(const std::vector<CleaningPlan>& 
 
 /// A session result in the same order-free rendering.
 std::multiset<std::string> CanonicalViolations(const QueryResult& result,
-                                               const std::vector<CleaningPlan>& plans,
-                                               bool entities_only = false) {
+                                               const std::vector<CleaningPlan>& plans) {
   std::multiset<std::string> out;
   for (const auto& op : result.ops) {
     const auto cp = std::find_if(plans.begin(), plans.end(), [&](const CleaningPlan& p) {
@@ -632,9 +624,7 @@ std::multiset<std::string> CanonicalViolations(const QueryResult& result,
       ADD_FAILURE() << "no standalone plan for operation " << op.op_name;
       continue;
     }
-    for (const auto& v : op.violations) {
-      out.insert(CanonicalViolation(*cp, v, entities_only));
-    }
+    for (const auto& v : op.violations) out.insert(CanonicalViolation(*cp, v));
   }
   return out;
 }
@@ -708,11 +698,180 @@ TEST(E2EMorselPipelineTest, TermValidationBitIdenticalAcrossMorselSizes) {
   ASSERT_GT(baseline_violations.size(), 0u);  // the noised variants are flagged
   const Catalog catalog{{{"data", &data}, {"dict", &named_dict}}};
   const auto plans = StandalonePlans(query);
-  EXPECT_EQ(CanonicalViolations(baseline, plans, /*entities_only=*/true),
-            ReferenceViolations(plans, catalog, /*entities_only=*/true));
+  EXPECT_EQ(CanonicalViolations(baseline, plans), ReferenceViolations(plans, catalog));
   for (size_t morsel_rows : kMorselSweep) {
     EXPECT_EQ(RenderedViolations(run(morsel_rows)), baseline_violations)
         << "term validation diverged at morsel_rows=" << morsel_rows;
+  }
+}
+
+/// Node counts the similarity-invariance tests sweep.
+constexpr size_t kNodeSweep[] = {1, 2, 4, 8};
+
+using TableList = std::vector<std::pair<std::string, const Dataset*>>;
+
+/// One cold execution of `query` on a fresh `nodes`-node session at the
+/// given morsel size.
+QueryResult ExecuteOn(const TableList& tables, const std::string& query, size_t nodes,
+                      size_t morsel_rows) {
+  CleanDB db(FastCleanDBOptions(nodes));
+  for (const auto& [name, table] : tables) db.RegisterTable(name, *table);
+  auto prepared = db.Prepare(query);
+  EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ExecOptions opts;
+  opts.morsel_rows = morsel_rows;
+  return prepared.value().Execute(opts).ValueOrDie();
+}
+
+/// Under a grouping monoid a pair sits in several groups and only its
+/// owner group emits it, so the full violation tuples (group fields
+/// included) and the verification count must not depend on the node
+/// count or the morsel size, and must equal the reference evaluator's.
+void ExpectSimilarityInvariant(const TableList& tables, const std::string& query) {
+  std::map<std::string, const Dataset*> bound;
+  for (const auto& [name, table] : tables) bound[name] = table;
+  const Catalog catalog{bound};
+  const auto plans = StandalonePlans(query);
+  const auto reference = ReferenceViolations(plans, catalog);
+  ASSERT_FALSE(reference.empty());
+  uint64_t comparisons = 0;
+  for (size_t nodes : kNodeSweep) {
+    const QueryResult baseline = ExecuteOn(tables, query, nodes, 4096);
+    EXPECT_EQ(CanonicalViolations(baseline, plans), reference) << "nodes=" << nodes;
+    if (nodes == kNodeSweep[0]) comparisons = baseline.metrics.comparisons;
+    EXPECT_GT(baseline.metrics.comparisons, 0u);
+    EXPECT_EQ(baseline.metrics.comparisons, comparisons) << "nodes=" << nodes;
+    const auto rendered = RenderedViolations(baseline);
+    for (size_t morsel_rows : kMorselSweep) {
+      const QueryResult piped = ExecuteOn(tables, query, nodes, morsel_rows);
+      EXPECT_EQ(RenderedViolations(piped), rendered)
+          << "nodes=" << nodes << " morsel_rows=" << morsel_rows;
+      EXPECT_EQ(piped.metrics.comparisons, comparisons)
+          << "nodes=" << nodes << " morsel_rows=" << morsel_rows;
+    }
+  }
+}
+
+TEST(E2EMorselPipelineTest, TokenFilteringDedupInvariantAcrossNodesAndMorsels) {
+  datagen::CustomerOptions copts;
+  copts.base_rows = 40;
+  copts.duplicate_fraction = 0.2;
+  copts.max_duplicates = 3;
+  copts.fd_violation_fraction = 0;
+  const Dataset data = datagen::MakeCustomer(copts);
+  ExpectSimilarityInvariant(
+      {{"customer", &data}},
+      "SELECT * FROM customer c DEDUP(token filtering, LD, 0.8, c.address)");
+}
+
+TEST(E2EMorselPipelineTest, TokenFilteringTermValidationInvariantAcrossNodesAndMorsels) {
+  const Dataset names = datagen::MakeAuthorDictionary(40);
+  Dataset dict(Schema{{"name", ValueType::kString}});
+  for (const auto& row : names.rows()) dict.Append(row);
+  Dataset data(Schema{{"name", ValueType::kString}});
+  Rng rng(3);
+  for (size_t i = 0; i < dict.num_rows(); i++) {
+    const std::string clean = dict.row(i)[0].AsString();
+    data.Append({Value(clean)});
+    if (i % 2 == 0) data.Append({Value(datagen::AddNoise(clean, 0.15, &rng))});
+  }
+  ExpectSimilarityInvariant({{"data", &data}, {"dict", &dict}},
+                            "SELECT * FROM data c, dict d CLUSTER BY(tf, LD, 0.8, c.name)");
+}
+
+// ---- Pair verification counter ----
+//
+// The similarity stage verifies each distinct candidate pair once, so its
+// `comparisons` equal the distinct pairs the filtering monoid makes
+// candidates — counted here straight from BuildGroups.
+
+/// 48 rows shaped like the fuzzy-clean benchmark batch: 36 customers over
+/// 7 addresses that all end in " 1" (so one q-gram group holds every row),
+/// then 4 of them repeated 3 times with a noised name.
+Dataset FuzzyCleanBatch() {
+  static const char* kStreets[] = {"Main St", "Oak Ave", "Pine Rd", "Elm St",
+                                   "Lake Dr", "Hill Rd", "Park Ave"};
+  const Dataset names = datagen::MakeAuthorDictionary(36);
+  Dataset batch(Schema{{"custkey", ValueType::kInt},
+                       {"name", ValueType::kString},
+                       {"address", ValueType::kString},
+                       {"nationkey", ValueType::kInt}});
+  for (size_t i = 0; i < 36; i++) {
+    batch.Append({Value(static_cast<int64_t>(i)), names.row(i)[0],
+                  Value(std::string(kStreets[i % 7]) + " 1"),
+                  Value(static_cast<int64_t>(i % 7))});
+  }
+  Rng rng(9);
+  for (size_t d = 0; d < 4; d++) {
+    for (size_t c = 0; c < 3; c++) {
+      Row dup = batch.row(d * 5);
+      dup[0] = Value(static_cast<int64_t>(batch.num_rows()));
+      dup[1] = Value(datagen::AddNoise(dup[1].AsString(), 0.1, &rng));
+      batch.Append(std::move(dup));
+    }
+  }
+  return batch;
+}
+
+std::vector<std::string> Column(const Dataset& t, size_t column) {
+  std::vector<std::string> out;
+  for (const auto& row : t.rows()) out.push_back(row[column].AsString());
+  return out;
+}
+
+TEST(E2EPairsCounterTest, DedupVerifiesEachDistinctCandidatePairOnce) {
+  const Dataset batch = FuzzyCleanBatch();
+  ASSERT_EQ(batch.num_rows(), 48u);
+  FilteringOptions fopts = FastCleanDBOptions().filtering;
+  fopts.algo = FilteringAlgo::kTokenFiltering;
+  std::set<std::pair<uint32_t, uint32_t>> candidates;  // every custkey differs
+  for (const auto& [key, members] : BuildGroups(Column(batch, 2), fopts)) {
+    for (uint32_t a : members) {
+      for (uint32_t b : members) {
+        if (a < b) candidates.emplace(a, b);
+      }
+    }
+  }
+  EXPECT_EQ(candidates.size(), 48u * 47u / 2u);  // all share the " 1" group
+
+  for (size_t nodes : {size_t{1}, size_t{4}}) {
+    const QueryResult result =
+        ExecuteOn({{"customer", &batch}},
+                  "SELECT * FROM customer c DEDUP(token filtering, LD, 0.8, c.address)",
+                  nodes, 4096);
+    EXPECT_EQ(result.metrics.comparisons, candidates.size()) << "nodes=" << nodes;
+  }
+}
+
+TEST(E2EPairsCounterTest, TermValidationVerifiesEachDistinctCandidatePairOnce) {
+  const Dataset batch = FuzzyCleanBatch();
+  const Dataset names = datagen::MakeAuthorDictionary(60);
+  Dataset dict(Schema{{"name", ValueType::kString}});
+  for (const auto& row : names.rows()) dict.Append(row);
+  FilteringOptions fopts = FastCleanDBOptions().filtering;
+  fopts.algo = FilteringAlgo::kTokenFiltering;
+  const std::vector<std::string> terms = Column(batch, 1);
+  const std::vector<std::string> dict_terms = Column(dict, 0);
+  const auto data_groups = BuildGroups(terms, fopts);
+  std::set<std::pair<std::string, std::string>> candidates;
+  for (const auto& [key, dict_members] : BuildGroups(dict_terms, fopts)) {
+    auto it = data_groups.find(key);
+    if (it == data_groups.end()) continue;
+    for (uint32_t t : it->second) {
+      for (uint32_t d : dict_members) {
+        if (terms[t] != dict_terms[d]) candidates.emplace(terms[t], dict_terms[d]);
+      }
+    }
+  }
+  ASSERT_FALSE(candidates.empty());
+
+  for (size_t nodes : {size_t{1}, size_t{4}}) {
+    const QueryResult result =
+        ExecuteOn({{"customer", &batch}, {"dictionary", &dict}},
+                  "SELECT * FROM customer c, dictionary d "
+                  "CLUSTER BY(token filtering, LD, 0.8, c.name)",
+                  nodes, 4096);
+    EXPECT_EQ(result.metrics.comparisons, candidates.size()) << "nodes=" << nodes;
   }
 }
 

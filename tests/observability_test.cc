@@ -56,13 +56,11 @@ TEST(ExplainTest, DedupPlanGolden) {
   EXPECT_EQ(prepared.value().Explain(),
             "PreparedQuery: 1 operation(s), unify=on\n"
             "== DEDUP ==\n"
-            "Select[((p1 < p2) and similar(\"LD\", to_string(p1), "
-            "to_string(p2), 0.8))]\n"
-            "  Unnest[p2 <- partition]\n"
-            "    Unnest[p1 <- partition]\n"
-            "      Select[(count(partition) > 1)]\n"
-            "        Nest[by exact(c.address), partition=bag(c)]\n"
-            "          Scan(customer as c)  [generation 1; partitioned scan "
+            "Pairs[p1, p2 <- partition, p1 < p2, similar(LD, to_string(c), "
+            "0.8), owner exact(c.address) of key]\n"
+            "  Select[(count(partition) > 1)]\n"
+            "    Nest[by exact(c.address), partition=bag(c)]\n"
+            "      Scan(customer as c)  [generation 1; partitioned scan "
             "cached]\n");
 }
 

@@ -817,8 +817,8 @@ TEST(PreparedQueryTest, RetractionsAndNewTagsReconcileWithColdExecution) {
   t.Append({Value("a2"), Value("A"), Value(int64_t{2})});
   t.Append({Value("b1"), Value("B"), Value(int64_t{3})});
   t.Append({Value("b2"), Value("B"), Value(int64_t{3})});
-  // The FD root runs a Project/Select chain, the exact DEDUP root an
-  // Unnest/Unnest/Select chain; both are incrementally eligible.
+  // The FD root runs a Project/Select chain, the exact DEDUP root a Pairs
+  // stage; both are incrementally eligible.
   const char* query = R"(
     SELECT * FROM customer c
     FD(c.address, c.nationkey)

@@ -106,6 +106,15 @@ SCHEMA = {
         "incremental_repartitions": None,  # ==0 enforced by bench --check
         "violations_identical": ("higher", "exact"),
     },
+    "similarity_pairs": {
+        # Pair verifications of bench_unified_cleaning's DEDUPs: E4's
+        # exact-key DEDUP and a fixed 400-customer token-filtering DEDUP.
+        # Each distinct candidate pair is verified once, so a rise means
+        # pairs are verified more than once again.
+        "e4_dedup_comparisons": ("lower", "exact"),
+        "tf_dedup_rows": None,
+        "tf_dedup_comparisons": ("lower", "exact"),
+    },
     "observability": {
         "off_s": None,
         "profile_s": None,
