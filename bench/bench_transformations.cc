@@ -63,15 +63,6 @@ int main(int argc, char** argv) {
   }
   const double plain = plain_timer.ElapsedSeconds();
 
-  auto timed = [&](const CleanDB::TransformSpec& spec, bool one_pass) {
-    Timer t;
-    db.RegisterTable("lineitem", ReadColpack(path).ValueOrDie());
-    auto out = db.Transform("lineitem", spec, one_pass).ValueOrDie();
-    const double secs = t.ElapsedSeconds();
-    CLEANM_CHECK(out.num_rows() == n_rows);
-    return secs;
-  };
-
   CleanDB::TransformSpec split_only;
   split_only.split_date_column = "receiptdate";
   CleanDB::TransformSpec fill_only;
@@ -80,10 +71,31 @@ int main(int argc, char** argv) {
   both.split_date_column = "receiptdate";
   both.fill_missing_column = "quantity";
 
-  const double split = timed(split_only, false);
-  const double fill = timed(fill_only, false);
-  const double two_step = timed(both, /*one_pass=*/false);
-  const double one_step = timed(both, /*one_pass=*/true);
+  // One Transform call is one traversal applying every repair in `spec`.
+  auto timed = [&](const CleanDB::TransformSpec& spec) {
+    Timer t;
+    db.RegisterTable("lineitem", ReadColpack(path).ValueOrDie());
+    auto out = db.Transform("lineitem", spec).ValueOrDie();
+    const double secs = t.ElapsedSeconds();
+    CLEANM_CHECK(out.num_rows() == n_rows);
+    return secs;
+  };
+  // The two-step baseline: fill, then split the filled table — one
+  // traversal per repair.
+  auto timed_two_step = [&]() {
+    Timer t;
+    db.RegisterTable("lineitem", ReadColpack(path).ValueOrDie());
+    db.RegisterTable("lineitem_filled", db.Transform("lineitem", fill_only).ValueOrDie());
+    auto out = db.Transform("lineitem_filled", split_only).ValueOrDie();
+    const double secs = t.ElapsedSeconds();
+    CLEANM_CHECK(out.num_rows() == n_rows);
+    return secs;
+  };
+
+  const double split = timed(split_only);
+  const double fill = timed(fill_only);
+  const double two_step = timed_two_step();
+  const double one_step = timed(both);
 
   std::printf("%-36s %10s %10s %8s\n", "operation", "time(s)", "plain(s)", "slowdown");
   std::printf("%-36s %10.3f %10.3f %7.2fx  (paper 1.15x)\n", "Split date", split, plain,

@@ -54,10 +54,9 @@ int main() {
                   v.GetField("suggestion").ValueOrDie().AsString().c_str());
     }
   }
-  // Both runs validate against the same dictionary; the session partition
-  // cache serves the dictionary scan of the k-means pass from memory
-  // (scan_hits > 0) while the per-call dirty-term table, which changes and
-  // is re-registered each time, never sticks (generation invalidation).
+  // Both runs scan the same two registered tables, so the session
+  // partition cache serves the k-means pass's scans from memory
+  // (scan_hits > 0).
   std::printf("\nsession partition cache after both passes: %s\n",
               db.partition_cache().stats().ToString().c_str());
   return 0;

@@ -89,8 +89,12 @@ Status ForEachGroupKey(const GroupSpec& group, const Value& term,
 struct PairSpec {
   /// Member collections of the group tuple and the variables a pair binds
   /// them to. `ordered` pairs one collection with itself (`right` names
-  /// the same one), each left < right pair once (DEDUP); otherwise every
-  /// left ≠ right pair of two collections (CLUSTER BY).
+  /// the same one), each left < right pair once (DEDUP). Otherwise it
+  /// pairs two collections (CLUSTER BY: terms × dictionary terms), and a
+  /// left member with an equal (Compare == 0) right member pairs with
+  /// nothing: a term found verbatim in the dictionary is clean. Equal
+  /// values derive equal keys under every keying, so such a term meets
+  /// its twin in every group it sits in, and the rule drops it everywhere.
   ExprPtr left, right;
   std::string left_var, right_var;
   bool ordered = true;

@@ -309,9 +309,6 @@ Result<std::vector<Value>> Eval(const AlgOpPtr& plan, const Catalog& catalog,
     case AlgKind::kPairs: {
       CLEANM_ASSIGN_OR_RETURN(std::vector<Value> in, Eval(plan->input, catalog, ctx));
       const PairSpec& spec = plan->pairs;
-      if (spec.metric == SimilarityMetric::kEuclidean) {
-        return Status::InvalidArgument("Pairs: euclidean is not a string metric");
-      }
       const bool exact = spec.keys.algo == FilteringAlgo::kExactKey;
       std::vector<Value> out;
       for (const auto& tuple : in) {
@@ -319,19 +316,26 @@ Result<std::vector<Value>> Eval(const AlgOpPtr& plan, const Catalog& catalog,
         CLEANM_ASSIGN_OR_RETURN(Value key, EvalExpr(Var(spec.key_name), env, ctx));
         CLEANM_ASSIGN_OR_RETURN(Value left, EvalExpr(spec.left, env, ctx));
         CLEANM_ASSIGN_OR_RETURN(Value right, EvalExpr(spec.right, env, ctx));
+        const std::vector<Value> right_members = Members(right);
         std::vector<PairMember> lm, rm;
         for (const auto& v : Members(left)) {
+          // Two collections: a left member equal to a right one pairs
+          // with nothing.
+          if (!spec.ordered &&
+              std::any_of(right_members.begin(), right_members.end(),
+                          [&](const Value& r) { return r.Compare(v) == 0; })) {
+            continue;
+          }
           CLEANM_ASSIGN_OR_RETURN(PairMember m, EvalPairMember(spec, v, ctx));
           lm.push_back(std::move(m));
         }
-        for (const auto& v : Members(right)) {
+        for (const auto& v : right_members) {
           CLEANM_ASSIGN_OR_RETURN(PairMember m, EvalPairMember(spec, v, ctx));
           rm.push_back(std::move(m));
         }
         for (const auto& a : lm) {
           for (const auto& b : rm) {
-            const int order = a.value.Compare(b.value);
-            if (spec.ordered ? order >= 0 : order == 0) continue;
+            if (spec.ordered && a.value.Compare(b.value) >= 0) continue;
             if (!exact && !OwnsPair(key, a, b)) continue;
             if (!StringSimilarAtLeast(spec.metric, a.text, b.text, spec.theta)) continue;
             ValueStruct padded = tuple.AsStruct();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
-#include <unordered_set>
 
 #include "cleaning/prepared_query.h"
 #include "cluster/filtering.h"
@@ -410,43 +409,12 @@ Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
   if (!cb.term || cb.term->kind != ExprKind::kField) {
     return Status::InvalidArgument("term must be a column reference");
   }
-  const std::string term_attr = cb.term->name;
   CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> data,
                           GetTableShared(data_table));
   CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> dict,
                           GetTableShared(dict_table));
-
-  // Pre-filter: terms appearing verbatim in the dictionary are clean; only
-  // unknown terms go through grouping + similarity (this is what makes the
-  // precision of Table 3 ≈ 100%: exact matches are never "repaired").
-  CLEANM_ASSIGN_OR_RETURN(const size_t dict_idx, dict->schema().IndexOf(dict_attr));
-  std::unordered_set<std::string> dictionary;
-  for (const auto& row : dict->rows()) {
-    if (row[dict_idx].type() == ValueType::kString) {
-      dictionary.insert(row[dict_idx].AsString());
-    }
-  }
-  CLEANM_ASSIGN_OR_RETURN(const size_t term_idx, data->schema().IndexOf(term_attr));
-  Dataset dirty(data->schema());
-  for (const auto& row : data->rows()) {
-    if (row[term_idx].type() == ValueType::kString &&
-        !dictionary.count(row[term_idx].AsString())) {
-      dirty.Append(row);
-    }
-  }
-  // Unique per call: concurrent ValidateTerms over the same data table must
-  // not clobber each other's (or shadow a user's) registration.
-  const std::string tmp_name = "__dirty_" + data_table + "_" +
-                               std::to_string(temp_table_seq_.fetch_add(1));
-  RegisterTable(tmp_name, std::move(dirty));
-  // The temp name is never registered again, so its counters go with it:
-  // kept, they would be copied into every later execution's snapshot.
-  auto drop_tmp = [this, &tmp_name] {
-    UnregisterTable(tmp_name);
-    std::unique_lock<std::shared_mutex> lock(table_mu_);
-    generations_.erase(tmp_name);
-    majors_.erase(tmp_name);
-  };
+  CLEANM_RETURN_NOT_OK(data->schema().IndexOf(cb.term->name).status());
+  CLEANM_RETURN_NOT_OK(dict->schema().IndexOf(dict_attr).status());
 
   FilteringOptions fopts = options_.filtering;
   fopts.algo = cb.op;
@@ -454,19 +422,13 @@ Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
   if (cb.op == FilteringAlgo::kKMeans) {
     centers = SampleCenters(dict_table, dict_attr, fopts.k);
   }
-  auto build = BuildTermValidationPlan(tmp_name, data_var, dict_table, "d", dict_attr,
-                                       cb, fopts, std::move(centers));
-  if (!build.ok()) {
-    drop_tmp();
-    return build.status();
-  }
-  auto result = RunProgrammaticOp(SingleOpQuery(build.MoveValue()));
-  drop_tmp();
-  return result;
+  CLEANM_ASSIGN_OR_RETURN(CleaningPlan cp,
+                          BuildTermValidationPlan(data_table, data_var, dict_table, "d",
+                                                  dict_attr, cb, fopts, std::move(centers)));
+  return RunProgrammaticOp(SingleOpQuery(std::move(cp)));
 }
 
-Result<Dataset> CleanDB::Transform(const std::string& table, const TransformSpec& spec,
-                                   bool one_pass) {
+Result<Dataset> CleanDB::Transform(const std::string& table, const TransformSpec& spec) {
   CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> input,
                           GetTableShared(table));
   const Schema& schema = input->schema();
@@ -480,8 +442,8 @@ Result<Dataset> CleanDB::Transform(const std::string& table, const TransformSpec
   if (!spec.split_date_column.empty() && !split_idx.ok()) return split_idx.status();
   if (!spec.fill_missing_column.empty() && !fill_idx.ok()) return fill_idx.status();
 
-  // The column average for fill-missing: one aggregation pass (shared by
-  // both execution modes; the paper's plan computes it before repairing).
+  // The column average for fill-missing: one aggregation pass (the
+  // paper's plan computes it before repairing).
   double fill_avg = 0;
   if (fill_idx.ok()) {
     double sum = 0;
@@ -517,60 +479,30 @@ Result<Dataset> CleanDB::Transform(const std::string& table, const TransformSpec
     }
     if (part < 3) out3[part] = any ? cur : -1;
   };
-  auto apply_split = [&](const Dataset& in) {
-    Schema out_schema = in.schema();
+  // One traversal applies every requested repair (the CleanDB plan of
+  // Table 4).
+  Schema out_schema = schema;
+  if (split_idx.ok()) {
     out_schema.AddField({spec.split_date_column + "_year", ValueType::kInt});
     out_schema.AddField({spec.split_date_column + "_month", ValueType::kInt});
     out_schema.AddField({spec.split_date_column + "_day", ValueType::kInt});
-    const size_t idx = in.schema().IndexOf(spec.split_date_column).ValueOrDie();
-    Dataset out(out_schema);
-    for (const auto& row : in.rows()) {
-      Row r = row;
-      int64_t parts[3];
-      split_parts(row[idx], parts);
-      for (int p = 0; p < 3; p++) {
-        r.push_back(parts[p] >= 0 ? Value(parts[p]) : Value::Null());
-      }
-      out.Append(std::move(r));
+  }
+  Dataset out(out_schema);
+  for (const auto& row : input->rows()) {
+    Row r = row;
+    if (fill_idx.ok() && r[fill_idx.value()].is_null()) {
+      r[fill_idx.value()] = Value(fill_avg);
     }
-    return out;
-  };
-  auto apply_fill = [&](const Dataset& in) {
-    const size_t idx = in.schema().IndexOf(spec.fill_missing_column).ValueOrDie();
-    Dataset out(in.schema());
-    for (const auto& row : in.rows()) {
-      Row r = row;
-      if (r[idx].is_null()) r[idx] = Value(fill_avg);
-      out.Append(std::move(r));
-    }
-    return out;
-  };
-
-  if (one_pass && split_idx.ok() && fill_idx.ok()) {
-    // Single traversal applying both repairs (the CleanDB plan of Table 4).
-    Schema out_schema = schema;
-    out_schema.AddField({spec.split_date_column + "_year", ValueType::kInt});
-    out_schema.AddField({spec.split_date_column + "_month", ValueType::kInt});
-    out_schema.AddField({spec.split_date_column + "_day", ValueType::kInt});
-    Dataset out(out_schema);
-    for (const auto& row : input->rows()) {
-      Row r = row;
-      if (r[fill_idx.value()].is_null()) r[fill_idx.value()] = Value(fill_avg);
+    if (split_idx.ok()) {
       int64_t parts[3];
       split_parts(row[split_idx.value()], parts);
       for (int p = 0; p < 3; p++) {
         r.push_back(parts[p] >= 0 ? Value(parts[p]) : Value::Null());
       }
-      out.Append(std::move(r));
     }
-    return out;
+    out.Append(std::move(r));
   }
-
-  // Sequential repairs, one full traversal each.
-  Dataset current = *input;
-  if (fill_idx.ok()) current = apply_fill(current);
-  if (split_idx.ok()) current = apply_split(current);
-  return current;
+  return out;
 }
 
 std::string CleanDB::ExportMetricsText() const {

@@ -271,10 +271,16 @@ class CleanDB {
   Result<OpResult> Deduplicate(const std::string& table, const std::string& var,
                                const DedupClause& dedup);
 
-  /// Term validation: values of `term` (an expression over `data_var`) are
-  /// validated against `dict_table`.`dict_attr`; violations couple each
-  /// dirty term with its suggested repairs. Terms that appear verbatim in
-  /// the dictionary are clean and skipped before grouping.
+  /// Term validation: the values of column `cb.term` of `data_table`
+  /// (bound as `data_var`) are validated against `dict_table`.`dict_attr`.
+  /// Runs the same plan as CleanM's CLUSTER BY, so it returns the same
+  /// violations: each couples a dirty term with a similar dictionary term
+  /// (`term`, `suggestion`) and carries its group's `key`, `terms` (every
+  /// data term of the group, clean ones included), `dkey` and
+  /// `dict_terms`. A term found verbatim in the dictionary is clean and
+  /// pairs with nothing (PairSpec). A term that is not a column is an
+  /// InvalidArgument; an unknown table or column a KeyError. Registers no
+  /// table.
   Result<OpResult> ValidateTerms(const std::string& data_table,
                                  const std::string& data_var,
                                  const std::string& dict_table,
@@ -283,14 +289,12 @@ class CleanDB {
 
   /// Syntactic transformations (Table 4): split a date column into
   /// year/month/day and/or fill missing numeric values with the column
-  /// average. `one_pass` applies all requested repairs in a single dataset
-  /// traversal; otherwise each repair re-traverses (the baseline).
+  /// average. One dataset traversal applies all requested repairs.
   struct TransformSpec {
     std::string split_date_column;    ///< empty = skip
     std::string fill_missing_column;  ///< empty = skip
   };
-  Result<Dataset> Transform(const std::string& table, const TransformSpec& spec,
-                            bool one_pass);
+  Result<Dataset> Transform(const std::string& table, const TransformSpec& spec);
 
   engine::Cluster& cluster() { return *cluster_; }
   const CleanDBOptions& options() const { return options_; }
@@ -419,10 +423,6 @@ class CleanDB {
   size_t admission_inflight_count_ = 0;
   uint64_t admission_next_ticket_ = 0;
   uint64_t admission_serve_ticket_ = 0;
-
-  /// Suffix counter making concurrently-running ValidateTerms calls' temp
-  /// table names unique.
-  std::atomic<uint64_t> temp_table_seq_{0};
 
   /// Out-of-core state (null on fully in-memory sessions). Declared before
   /// cache_ so the cache (whose pager writes through session_spill_) is

@@ -138,9 +138,10 @@ Result<CleaningPlan> BuildTermValidationPlan(
 
   // Compare only clusters with the same grouping key (Section 4.4).
   AlgOpPtr joined = EquiJoinOp(data_nest, dict_nest, Var("key"), Var("dkey"));
-  // A violation couples a dirty term with a similar dictionary term; exact
-  // dictionary matches are clean and excluded. Both sides' keys derive
-  // from the term value itself.
+  // A violation couples a dirty term with a similar dictionary term; a
+  // term found verbatim in the dictionary is clean and pairs with nothing
+  // (PairSpec's two-collection mode). Both sides' keys derive from the
+  // term value itself.
   PairSpec pairs;
   pairs.left = Var("terms");
   pairs.right = Var("dict_terms");

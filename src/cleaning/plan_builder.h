@@ -20,12 +20,16 @@
 //   CLUSTER BY(op, m, θ, term)   (dictionary = second FROM table)
 //                     → Nest over data terms ⋈(key) Nest over dictionary
 //                       → Pairs[term <- terms × suggestion <- dict_terms,
-//                               term ≠ suggestion, similar(m, term, θ),
+//                               term ∉ dict_terms, similar(m, term, θ),
 //                               owner op(term)]
 //
 // Pairs (algebra.h) verifies each candidate pair once, in its owner group:
 // under a grouping monoid a pair shares several groups, and only the one
 // the owner rule picks emits it, carrying that group's key and members.
+// In CLUSTER BY a term found verbatim in the dictionary pairs with
+// nothing: it meets its dictionary twin in every group it sits in, so the
+// rule equals pre-filtering the data against the dictionary.
+// CleanDB::ValidateTerms runs this same plan.
 //
 // The builders return plain algebra plans; CoalesceNests + the physical
 // executor provide the Figure-1 work sharing when a query carries several

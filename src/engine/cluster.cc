@@ -195,27 +195,6 @@ Partitioned Cluster::Map(const Partitioned& in,
   return out;
 }
 
-Partitioned Cluster::Filter(const Partitioned& in,
-                            const std::function<bool(const Row&)>& pred) const {
-  Partitioned out(in.size());
-  RunOnNodes([&](size_t n) {
-    for (const auto& row : in[n]) {
-      if (pred(row)) out[n].push_back(row);
-    }
-  });
-  return out;
-}
-
-Partitioned Cluster::FlatMap(
-    const Partitioned& in,
-    const std::function<void(const Row&, Partition*)>& fn) const {
-  Partitioned out(in.size());
-  RunOnNodes([&](size_t n) {
-    for (const auto& row : in[n]) fn(row, &out[n]);
-  });
-  return out;
-}
-
 void Cluster::ChargeNetwork(uint64_t bytes) const {
   const double ns = static_cast<double>(bytes) * options_.shuffle_ns_per_byte;
   if (ns <= 0) return;

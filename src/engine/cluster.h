@@ -150,12 +150,6 @@ class Cluster {
   Partitioned Map(const Partitioned& in,
                   const std::function<Row(const Row&)>& fn) const;
 
-  Partitioned Filter(const Partitioned& in,
-                     const std::function<bool(const Row&)>& pred) const;
-
-  Partitioned FlatMap(const Partitioned& in,
-                      const std::function<void(const Row&, Partition*)>& fn) const;
-
   // ---- Wide dependencies (shuffle; metered + charged) ----
 
   /// Routes every row to the node chosen by `route(row) % num_nodes`.

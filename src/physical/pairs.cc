@@ -7,8 +7,10 @@
 // group it renders each member's comparison text and derives its keys
 // once, enumerates the pairs by index (ordered mode sorts the members once
 // instead of comparing records per pair), and verifies a pair only in its
-// owner group (algebra.h, PairOwnerRank). The algebra reference evaluator
-// applies the same rule, so both emit each violating pair exactly once,
+// owner group (algebra.h, PairOwnerRank). In two-collection mode a left
+// member with an equal right member pairs with nothing: a term found
+// verbatim in the dictionary is clean. The algebra reference evaluator
+// applies the same rules, so both emit each violating pair exactly once,
 // carrying its owner group's fields, at any node count and morsel size.
 #include <algorithm>
 #include <memory>
@@ -55,7 +57,11 @@ class PairStage {
     const Value key = key_(group);
     const uint64_t key_hash = key.Hash();
     const Value left_coll = left_(group);
-    std::vector<Member> left = Prepare(left_coll);
+    // Two-collection mode: a left member equal to a right member pairs
+    // with nothing (PairSpec), so it is dropped before it is rendered.
+    const Value right_coll = spec_.ordered ? Value::Null() : right_(group);
+    const std::vector<Member> right = Prepare(right_coll, {});
+    std::vector<Member> left = Prepare(left_coll, right);
     uint64_t verified = 0;
     auto consider = [&](const Member& a, const Member& b) {
       if (!a.comparable || !b.comparable) return;
@@ -84,28 +90,31 @@ class PairStage {
         }
       }
     } else {
-      const Value right_coll = right_(group);
-      const std::vector<Member> right = Prepare(right_coll);
       for (const auto& a : left) {
-        for (const auto& b : right) {
-          if (a.value->Compare(*b.value) != 0) consider(a, b);
-        }
+        for (const auto& b : right) consider(a, b);
       }
     }
     if (metrics_ != nullptr && verified > 0) metrics_->comparisons += verified;
   }
 
  private:
-  /// The members an Unnest of `coll` would bind, rendered and keyed.
-  std::vector<Member> Prepare(const Value& coll) const {
+  /// The members an Unnest of `coll` would bind, rendered and keyed,
+  /// except those Compare-equal to a member of `pairs_with_none`.
+  std::vector<Member> Prepare(const Value& coll,
+                              const std::vector<Member>& pairs_with_none) const {
     std::vector<Member> members;
     if (coll.is_null()) return members;
     const bool list = coll.type() == ValueType::kList;
     const size_t n = list ? coll.AsList().size() : 1;
-    members.resize(n);
+    members.reserve(n);
     for (size_t i = 0; i < n; i++) {
-      Member& m = members[i];
-      m.value = list ? &coll.AsList()[i] : &coll;
+      const Value* value = list ? &coll.AsList()[i] : &coll;
+      if (std::any_of(pairs_with_none.begin(), pairs_with_none.end(),
+                      [&](const Member& o) { return o.value->Compare(*value) == 0; })) {
+        continue;
+      }
+      Member& m = members.emplace_back();
+      m.value = value;
       const Value bound(ValueStruct{{spec_.member, *m.value}});
       m.text = text_(bound);
       m.comparable = m.text.is_null() || m.text.type() == ValueType::kString;
@@ -185,9 +194,6 @@ class PairStage {
 Result<TupleSink> CompilePairs(const AlgOp& op, const TupleLayout& layout,
                                const CompileEnv& env, TupleSink inner) {
   const PairSpec& spec = op.pairs;
-  if (spec.metric == SimilarityMetric::kEuclidean) {
-    return Status::InvalidArgument("Pairs: euclidean is not a string metric");
-  }
   if (spec.keys.algo == FilteringAlgo::kKMeans && spec.keys.centers.empty()) {
     return Status::InvalidArgument("k-means Pairs executed without sampled centers");
   }

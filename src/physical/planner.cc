@@ -159,8 +159,12 @@ Result<engine::Partitioned> Executor::ExecJoin(const AlgOpPtr& plan,
       joined = engine::HashEquiJoin(*cluster, left, right, lkey, rkey, emit, spill);
     }
     if (residual) {
-      joined = cluster->Filter(
-          joined, [residual](const Row& r) { return residual(PhysicalTupleOf(r)); });
+      cluster->RunOnNodes([&](size_t n) {
+        Partition& rows = joined[n];
+        rows.erase(std::remove_if(rows.begin(), rows.end(),
+                                  [&](const Row& r) { return !residual(PhysicalTupleOf(r)); }),
+                   rows.end());
+      });
     }
     return joined;
   }

@@ -4,7 +4,7 @@
 #include <fstream>
 #include <unordered_map>
 
-#include "storage/json.h"
+#include "storage/pagestore/row_codec.h"
 
 namespace cleanm {
 
@@ -18,7 +18,7 @@ constexpr uint8_t kEncInt = 1;
 constexpr uint8_t kEncDouble = 2;
 constexpr uint8_t kEncBool = 3;
 constexpr uint8_t kEncDictString = 4;
-constexpr uint8_t kEncNested = 5;  // serialized dynamic values
+constexpr uint8_t kEncNested = 5;  // u64 byte length + row_codec values
 
 template <typename T>
 void PutPod(std::ostream& os, T v) {
@@ -36,92 +36,21 @@ void PutString(std::ostream& os, const std::string& s) {
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
+/// Bytes between the read position and the end of the stream.
+uint64_t RemainingBytes(std::istream& is) {
+  const auto here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto end = is.tellg();
+  is.seekg(here);
+  return here < 0 || end < here ? 0 : static_cast<uint64_t>(end - here);
+}
+
 bool GetString(std::istream& is, std::string* s) {
   uint32_t len;
   if (!GetPod(is, &len)) return false;
   s->resize(len);
   is.read(s->data(), len);
   return static_cast<bool>(is);
-}
-
-/// Serializes an arbitrary (possibly nested) value as JSON text prefixed by
-/// its type tag; good enough for the nested fallback path.
-void PutNested(std::ostream& os, const Value& v) {
-  PutPod<uint8_t>(os, static_cast<uint8_t>(v.type()));
-  if (v.is_null()) return;
-  switch (v.type()) {
-    case ValueType::kBool: PutPod<uint8_t>(os, v.AsBool() ? 1 : 0); break;
-    case ValueType::kInt: PutPod<int64_t>(os, v.AsInt()); break;
-    case ValueType::kDouble: PutPod<double>(os, v.AsDouble()); break;
-    case ValueType::kString: PutString(os, v.AsString()); break;
-    case ValueType::kList: {
-      PutPod<uint32_t>(os, static_cast<uint32_t>(v.AsList().size()));
-      for (const auto& e : v.AsList()) PutNested(os, e);
-      break;
-    }
-    case ValueType::kStruct: {
-      PutPod<uint32_t>(os, static_cast<uint32_t>(v.AsStruct().size()));
-      for (const auto& [name, e] : v.AsStruct()) {
-        PutString(os, name);
-        PutNested(os, e);
-      }
-      break;
-    }
-    default: break;
-  }
-}
-
-Result<Value> GetNested(std::istream& is) {
-  uint8_t tag;
-  if (!GetPod(is, &tag)) return Status::IOError("truncated nested value");
-  switch (static_cast<ValueType>(tag)) {
-    case ValueType::kNull: return Value::Null();
-    case ValueType::kBool: {
-      uint8_t b;
-      if (!GetPod(is, &b)) return Status::IOError("truncated bool");
-      return Value(b != 0);
-    }
-    case ValueType::kInt: {
-      int64_t i;
-      if (!GetPod(is, &i)) return Status::IOError("truncated int");
-      return Value(i);
-    }
-    case ValueType::kDouble: {
-      double d;
-      if (!GetPod(is, &d)) return Status::IOError("truncated double");
-      return Value(d);
-    }
-    case ValueType::kString: {
-      std::string s;
-      if (!GetString(is, &s)) return Status::IOError("truncated string");
-      return Value(std::move(s));
-    }
-    case ValueType::kList: {
-      uint32_t n;
-      if (!GetPod(is, &n)) return Status::IOError("truncated list");
-      ValueList items;
-      items.reserve(n);
-      for (uint32_t i = 0; i < n; i++) {
-        CLEANM_ASSIGN_OR_RETURN(Value e, GetNested(is));
-        items.push_back(std::move(e));
-      }
-      return Value(std::move(items));
-    }
-    case ValueType::kStruct: {
-      uint32_t n;
-      if (!GetPod(is, &n)) return Status::IOError("truncated struct");
-      ValueStruct fields;
-      fields.reserve(n);
-      for (uint32_t i = 0; i < n; i++) {
-        std::string name;
-        if (!GetString(is, &name)) return Status::IOError("truncated field name");
-        CLEANM_ASSIGN_OR_RETURN(Value e, GetNested(is));
-        fields.emplace_back(std::move(name), std::move(e));
-      }
-      return Value(std::move(fields));
-    }
-  }
-  return Status::IOError("bad value tag in colpack file");
 }
 
 /// Chooses the physical encoding for a column by inspecting its values.
@@ -214,9 +143,13 @@ Status WriteColpack(const Dataset& dataset, const std::string& path) {
         for (uint32_t code : codes) PutPod<uint32_t>(os, code);
         break;
       }
-      case kEncNested:
-        for (size_t i = 0; i < nrows; i++) PutNested(os, dataset.row(i)[c]);
+      case kEncNested: {
+        std::string encoded;
+        for (size_t i = 0; i < nrows; i++) EncodeValue(dataset.row(i)[c], &encoded);
+        PutPod<uint64_t>(os, encoded.size());
+        os.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
         break;
+      }
       default:
         return Status::Internal("unknown colpack encoding");
     }
@@ -312,11 +245,19 @@ Result<Dataset> ReadColpack(const std::string& path) {
         break;
       }
       case kEncNested: {
+        uint64_t len;
+        if (!GetPod(is, &len) || len > RemainingBytes(is)) {
+          return Status::IOError("truncated nested column");
+        }
+        std::string encoded(len, '\0');
+        is.read(encoded.data(), static_cast<std::streamsize>(len));
+        size_t pos = 0;
         for (uint64_t i = 0; i < nrows; i++) {
-          CLEANM_ASSIGN_OR_RETURN(Value v, GetNested(is));
+          CLEANM_ASSIGN_OR_RETURN(Value v, DecodeValue(encoded, &pos));
           if (!v.is_null()) ftype = v.type();
           col.push_back(present[i] ? std::move(v) : Value::Null());
         }
+        if (pos != encoded.size()) return Status::IOError("bad nested column length");
         break;
       }
       default:

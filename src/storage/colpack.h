@@ -9,8 +9,9 @@
 //   magic "CPK1" | u32 ncols | u64 nrows
 //   per column: u32 name_len | name | u8 type | encoding payload
 // Scalar columns: type-specific arrays; strings are dictionary-coded
-// (u32 dict_size, dict entries, then u32 codes). Nested columns fall back
-// to length-prefixed serialized values.
+// (u32 dict_size, dict entries, then u32 codes). Nested and mixed-type
+// columns are a u64 byte length, then each row's value in the page
+// store's row codec (storage/pagestore/row_codec.h).
 #pragma once
 
 #include <string>

@@ -120,10 +120,6 @@ bool ParseSimilarityMetric(std::string_view name, SimilarityMetric* out) {
     *out = SimilarityMetric::kJaccard;
     return true;
   }
-  if (lower == "euclidean") {
-    *out = SimilarityMetric::kEuclidean;
-    return true;
-  }
   return false;
 }
 
@@ -131,7 +127,6 @@ const char* SimilarityMetricName(SimilarityMetric metric) {
   switch (metric) {
     case SimilarityMetric::kLevenshtein: return "LD";
     case SimilarityMetric::kJaccard: return "jaccard";
-    case SimilarityMetric::kEuclidean: return "euclidean";
   }
   return "?";
 }
@@ -140,9 +135,7 @@ double StringSimilarity(SimilarityMetric metric, std::string_view a, std::string
   switch (metric) {
     case SimilarityMetric::kLevenshtein: return LevenshteinSimilarity(a, b);
     case SimilarityMetric::kJaccard: return JaccardQGramSimilarity(a, b);
-    case SimilarityMetric::kEuclidean: break;
   }
-  CLEANM_CHECK(false && "Euclidean metric requires numeric vectors");
   return 0;
 }
 

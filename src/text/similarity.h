@@ -53,24 +53,22 @@ double EuclideanDistance(const std::vector<double>& a, const std::vector<double>
 enum class SimilarityMetric {
   kLevenshtein,
   kJaccard,
-  kEuclidean,
 };
 
-/// Parses "LD" / "levenshtein" / "jaccard" / "euclidean" (case-insensitive).
+/// Parses "LD" / "levenshtein" / "jaccard" (case-insensitive).
 /// Returns false on unknown names.
 bool ParseSimilarityMetric(std::string_view name, SimilarityMetric* out);
 
-/// The metric's name as CleanM queries write it ("LD", "jaccard",
-/// "euclidean").
+/// The metric's name as CleanM queries write it ("LD", "jaccard").
 const char* SimilarityMetricName(SimilarityMetric metric);
 
-/// Dispatches to the chosen string metric; Euclidean is not valid here.
+/// Dispatches to the chosen string metric.
 double StringSimilarity(SimilarityMetric metric, std::string_view a, std::string_view b);
 
 /// Thresholded check under the chosen string metric: true iff the
 /// similarity of `a` and `b` is at least `theta`. Levenshtein takes the
 /// early-exit distance bound (LevenshteinSimilarAtLeast). The kernel of the
-/// `similar` builtin and of the Pairs operator; Euclidean is not valid here.
+/// `similar` builtin and of the Pairs operator.
 bool StringSimilarAtLeast(SimilarityMetric metric, std::string_view a,
                           std::string_view b, double theta);
 

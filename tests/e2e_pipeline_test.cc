@@ -779,6 +779,108 @@ TEST(E2EMorselPipelineTest, TokenFilteringTermValidationInvariantAcrossNodesAndM
                             "SELECT * FROM data c, dict d CLUSTER BY(tf, LD, 0.8, c.name)");
 }
 
+/// (term, suggestion) couples of a CLUSTER BY result.
+std::set<std::pair<std::string, std::string>> TermSuggestions(const ValueList& violations) {
+  std::set<std::pair<std::string, std::string>> out;
+  for (const auto& v : violations) {
+    out.emplace(v.GetField("term").ValueOrDie().AsString(),
+                v.GetField("suggestion").ValueOrDie().AsString());
+  }
+  return out;
+}
+
+TEST(E2ETermValidationTest, ClusterByTextAndValidateTermsAgreeOnEveryKeying) {
+  // Dictionary words that are similar to other dictionary words (a noised
+  // twin of every fourth name), and a data column holding every dictionary
+  // word verbatim plus noised misspellings. A dictionary word is clean, so
+  // it is never a `term`, even where a similar dictionary word exists.
+  const Dataset names = datagen::MakeAuthorDictionary(40);
+  Dataset dict(Schema{{"name", ValueType::kString}});
+  Dataset data(Schema{{"name", ValueType::kString}});
+  Rng rng(11);
+  for (size_t i = 0; i < names.num_rows(); i++) {
+    const Value clean = names.row(i)[0];
+    dict.Append({clean});
+    data.Append({clean});
+    if (i % 4 == 0) dict.Append({Value(clean.AsString() + "s")});
+    if (i % 3 == 0) data.Append({Value(datagen::AddNoise(clean.AsString(), 0.15, &rng))});
+  }
+  std::set<std::string> dictionary;
+  for (const auto& row : dict.rows()) dictionary.insert(row[0].AsString());
+
+  const FilteringOptions defaults = FastCleanDBOptions().filtering;
+  for (const char* algo : {"tf", "kmeans", "exact"}) {
+    const std::string query =
+        std::string("SELECT * FROM data c, dict d CLUSTER BY(") + algo + ", LD, 0.8, c.name)";
+    const ClusterByClause cb = ParseCleanM(query).ValueOrDie().cluster_bys[0];
+
+    // The reference evaluator over the session's plan (same k-means centers).
+    CleanDB sampler(FastCleanDBOptions());
+    sampler.RegisterTable("dict", dict);
+    FilteringOptions fopts = defaults;
+    fopts.algo = cb.op;
+    const auto cp = BuildTermValidationPlan(
+                        "data", "c", "dict", "d", "name", cb, fopts,
+                        cb.op == FilteringAlgo::kKMeans
+                            ? sampler.SampleCenters("dict", "name", fopts.k)
+                            : std::vector<std::string>{})
+                        .ValueOrDie();
+    const Catalog catalog{{{"data", &data}, {"dict", &dict}}};
+    ValueList reference;
+    ASSERT_TRUE(ForEachDedupedViolation(EvalPlan(cp.plan, catalog).ValueOrDie(), cp,
+                                        [&](const Value& v) {
+                                          reference.push_back(v);
+                                          return Status::OK();
+                                        })
+                    .ok());
+    const auto expected = TermSuggestions(reference);
+    for (const auto& [term, suggestion] : expected) {
+      EXPECT_FALSE(dictionary.count(term)) << algo << ": " << term;
+      EXPECT_TRUE(dictionary.count(suggestion)) << algo << ": " << suggestion;
+    }
+    if (cb.op == FilteringAlgo::kExactKey) {
+      EXPECT_TRUE(expected.empty());  // a term's only group partner is its twin
+    } else {
+      EXPECT_FALSE(expected.empty()) << algo;
+    }
+
+    for (size_t nodes : {size_t{1}, size_t{4}}) {
+      const QueryResult text = ExecuteOn({{"data", &data}, {"dict", &dict}}, query, nodes, 4096);
+      ASSERT_EQ(text.ops.size(), 1u);
+      EXPECT_EQ(TermSuggestions(text.ops[0].violations), expected)
+          << algo << " nodes=" << nodes;
+
+      CleanDB db(FastCleanDBOptions(nodes));
+      db.RegisterTable("data", data);
+      db.RegisterTable("dict", dict);
+      const OpResult op = db.ValidateTerms("data", "c", "dict", "name", cb).ValueOrDie();
+      EXPECT_EQ(TermSuggestions(op.violations), expected) << algo << " nodes=" << nodes;
+    }
+  }
+}
+
+TEST(E2ETermValidationTest, ValidateTermsChecksItsInputs) {
+  CleanDB db(FastCleanDBOptions());
+  Dataset names(Schema{{"name", ValueType::kString}});
+  names.Append({Value("mary jones")});
+  db.RegisterTable("data", names);
+  db.RegisterTable("dict", names);
+  ClusterByClause cb;
+  cb.term = ParseCleanMExpr("c.name").ValueOrDie();
+  auto code = [&](const std::string& data_table, const std::string& dict_table,
+                  const std::string& dict_attr) {
+    return db.ValidateTerms(data_table, "c", dict_table, dict_attr, cb).status().code();
+  };
+  EXPECT_EQ(code("data", "dict", "name"), StatusCode::kOk);
+  EXPECT_EQ(code("missing", "dict", "name"), StatusCode::kKeyError);
+  EXPECT_EQ(code("data", "missing", "name"), StatusCode::kKeyError);
+  EXPECT_EQ(code("data", "dict", "missing"), StatusCode::kKeyError);
+  cb.term = ParseCleanMExpr("c.surname").ValueOrDie();
+  EXPECT_EQ(code("data", "dict", "name"), StatusCode::kKeyError);
+  cb.term = ParseCleanMExpr("upper(c.name)").ValueOrDie();
+  EXPECT_EQ(code("data", "dict", "name"), StatusCode::kInvalidArgument);
+}
+
 // ---- Pair verification counter ----
 //
 // The similarity stage verifies each distinct candidate pair once, so its
@@ -850,17 +952,22 @@ TEST(E2EPairsCounterTest, TermValidationVerifiesEachDistinctCandidatePairOnce) {
   for (const auto& row : names.rows()) dict.Append(row);
   FilteringOptions fopts = FastCleanDBOptions().filtering;
   fopts.algo = FilteringAlgo::kTokenFiltering;
-  const std::vector<std::string> terms = Column(batch, 1);
   const std::vector<std::string> dict_terms = Column(dict, 0);
+  // A term found verbatim in the dictionary is clean: it makes no pair.
+  const std::set<std::string> dictionary(dict_terms.begin(), dict_terms.end());
+  std::vector<std::string> terms;
+  for (auto& term : Column(batch, 1)) {
+    if (!dictionary.count(term)) terms.push_back(std::move(term));
+  }
+  ASSERT_FALSE(terms.empty());
+  ASSERT_LT(terms.size(), batch.num_rows());  // the batch holds dictionary words
   const auto data_groups = BuildGroups(terms, fopts);
   std::set<std::pair<std::string, std::string>> candidates;
   for (const auto& [key, dict_members] : BuildGroups(dict_terms, fopts)) {
     auto it = data_groups.find(key);
     if (it == data_groups.end()) continue;
     for (uint32_t t : it->second) {
-      for (uint32_t d : dict_members) {
-        if (terms[t] != dict_terms[d]) candidates.emplace(terms[t], dict_terms[d]);
-      }
+      for (uint32_t d : dict_members) candidates.emplace(terms[t], dict_terms[d]);
     }
   }
   ASSERT_FALSE(candidates.empty());

@@ -3,6 +3,9 @@
 // baseline simulators' documented restrictions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "baselines/baselines.h"
 #include "cleaning/cleandb.h"
 #include "datagen/generators.h"
@@ -183,6 +186,7 @@ TEST(CleanDBTest, TermValidationSuggestsCorrectRepairs) {
   cb.metric = SimilarityMetric::kLevenshtein;
   cb.theta = 0.8;
   cb.term = ParseCleanMExpr("c.name").ValueOrDie();
+  EXPECT_EQ(db.TableGeneration("__dirty_data_0"), 0u);
   auto result = db.ValidateTerms("data", "c", "dict", "name", cb).ValueOrDie();
   // Exactly the misspelled name is flagged, repaired to the dictionary form.
   ASSERT_EQ(result.violations.size(), 1u);
@@ -191,9 +195,16 @@ TEST(CleanDBTest, TermValidationSuggestsCorrectRepairs) {
   EXPECT_EQ(result.violations[0].GetField("suggestion").ValueOrDie().AsString(),
             "jonathan smith");
 
-  // Each call registers a uniquely named temp table. Repeated calls give the
-  // same result, and once a call is done its temp table's counters are gone
-  // too, so they are not copied into every later execution's snapshot.
+  // The group's `terms` lists every data term of the group, the clean
+  // ones included: the plan runs over the data table itself.
+  const ValueList& terms =
+      result.violations[0].GetField("terms").ValueOrDie().AsList();
+  EXPECT_NE(std::find(terms.begin(), terms.end(), Value("jonathan smith")), terms.end());
+
+  // ValidateTerms registers no table: repeated calls give the same result,
+  // no `__dirty_*` name gets a generation and the data table's does not
+  // move.
+  const uint64_t data_generation = db.TableGeneration("data");
   for (int call = 1; call < 4; call++) {
     auto again = db.ValidateTerms("data", "c", "dict", "name", cb).ValueOrDie();
     ASSERT_EQ(again.violations.size(), 1u);
@@ -204,6 +215,7 @@ TEST(CleanDBTest, TermValidationSuggestsCorrectRepairs) {
     EXPECT_EQ(db.TableGeneration(tmp), 0u) << tmp;
     EXPECT_EQ(db.TableMajor(tmp), 0u) << tmp;
   }
+  EXPECT_EQ(db.TableGeneration("data"), data_generation);
 }
 
 TEST(CleanDBTest, UnifiedQueryCoalescesSharedGroupings) {
@@ -245,23 +257,49 @@ TEST(CleanDBTest, TransformsSplitDateAndFillMissing) {
   lopts.rows = 200;
   lopts.missing_fraction = 0.2;
   lopts.noise_fraction = 0;
-  db.RegisterTable("lineitem", datagen::MakeLineitem(lopts));
+  const Dataset input = datagen::MakeLineitem(lopts);
+  db.RegisterTable("lineitem", input);
 
   CleanDB::TransformSpec spec;
   spec.split_date_column = "receiptdate";
   spec.fill_missing_column = "quantity";
-  auto one_pass = db.Transform("lineitem", spec, /*one_pass=*/true).ValueOrDie();
-  auto two_pass = db.Transform("lineitem", spec, /*one_pass=*/false).ValueOrDie();
+  auto out = db.Transform("lineitem", spec).ValueOrDie();
 
-  ASSERT_EQ(one_pass.num_rows(), 200u);
-  EXPECT_TRUE(one_pass.schema().HasField("receiptdate_year"));
-  const size_t qty = one_pass.schema().IndexOf("quantity").ValueOrDie();
-  const size_t year = one_pass.schema().IndexOf("receiptdate_year").ValueOrDie();
-  for (size_t i = 0; i < one_pass.num_rows(); i++) {
-    EXPECT_FALSE(one_pass.row(i)[qty].is_null());
-    EXPECT_GE(one_pass.row(i)[year].AsInt(), 1992);
-    // Both execution modes repair identically.
-    EXPECT_TRUE(one_pass.row(i)[qty].Equals(two_pass.row(i)[qty]));
+  // Expected: nulls filled with the average of the present quantities,
+  // and receiptdate's parts appended as ints.
+  const size_t qty = input.schema().IndexOf("quantity").ValueOrDie();
+  const size_t date = input.schema().IndexOf("receiptdate").ValueOrDie();
+  double sum = 0;
+  size_t present = 0;
+  for (const auto& row : input.rows()) {
+    if (row[qty].is_null()) continue;
+    sum += row[qty].ToDouble();
+    present++;
+  }
+  ASSERT_GT(present, 0u);
+  ASSERT_LT(present, input.num_rows());  // some values are missing
+  const double avg = sum / static_cast<double>(present);
+
+  ASSERT_EQ(out.num_rows(), input.num_rows());
+  ASSERT_EQ(out.schema().num_fields(), input.schema().num_fields() + 3);
+  const size_t year = out.schema().IndexOf("receiptdate_year").ValueOrDie();
+  const size_t month = out.schema().IndexOf("receiptdate_month").ValueOrDie();
+  const size_t day = out.schema().IndexOf("receiptdate_day").ValueOrDie();
+  for (size_t i = 0; i < out.num_rows(); i++) {
+    const Row& in_row = input.row(i);
+    const Row& row = out.row(i);
+    for (size_t c = 0; c < input.schema().num_fields(); c++) {
+      if (c == qty && in_row[c].is_null()) continue;
+      EXPECT_TRUE(row[c].Equals(in_row[c])) << "row " << i << " column " << c;
+    }
+    if (in_row[qty].is_null()) {
+      EXPECT_DOUBLE_EQ(row[qty].AsDouble(), avg) << "row " << i;
+    }
+    const std::string& d = in_row[date].AsString();  // YYYY-MM-DD
+    EXPECT_EQ(row[year].AsInt(), std::stoll(d.substr(0, 4))) << d;
+    EXPECT_EQ(row[month].AsInt(), std::stoll(d.substr(5, 2))) << d;
+    EXPECT_EQ(row[day].AsInt(), std::stoll(d.substr(8, 2))) << d;
+    EXPECT_GE(row[year].AsInt(), 1992);
   }
 }
 
@@ -273,6 +311,29 @@ TEST(CleanDBTest, ErrorsSurfaceCleanly) {
   db.RegisterTable("t", t);
   // CLUSTER BY without a dictionary table.
   EXPECT_FALSE(db.Execute("SELECT * FROM t c CLUSTER BY(tf, LD, 0.8, c.a)").ok());
+}
+
+TEST(CleanDBTest, EuclideanIsAnUnknownStringMetric) {
+  // No string path compares by Euclidean distance: naming the metric is a
+  // bad input, never a process abort. A projection's failing builtin
+  // evaluates to null; the DEDUP clause does not parse "euclidean" as a
+  // metric, so it fails with a Status.
+  CleanDB db(FastOptions());
+  Dataset t(Schema{{"name", ValueType::kString}});
+  t.Append({Value("mary jones")});
+  t.Append({Value("mary jone")});
+  db.RegisterTable("t", t);
+  auto similarity =
+      db.Execute("SELECT c.name, similarity('euclidean', c.name, c.name) FROM t c");
+  ASSERT_TRUE(similarity.ok()) << similarity.status().ToString();
+  ASSERT_EQ(similarity.value().ops.size(), 1u);
+  ASSERT_EQ(similarity.value().ops[0].violations.size(), 2u);
+  for (const auto& row : similarity.value().ops[0].violations) {
+    EXPECT_TRUE(row.GetField("similarity").ValueOrDie().is_null()) << row.ToString();
+  }
+  EXPECT_FALSE(db.Execute("SELECT * FROM t c DEDUP(tf, euclidean, 0.8, c.name)").ok());
+  EXPECT_FALSE(db.Execute("SELECT * FROM t c, t d CLUSTER BY(tf, euclidean, 0.8, c.name)")
+                   .ok());
 }
 
 // ---- Baselines ----

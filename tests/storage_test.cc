@@ -521,5 +521,21 @@ TEST_F(FormatRoundTripTest, ColpackRejectsGarbage) {
   EXPECT_FALSE(ReadColpack(Path("missing.cpk")).ok());
 }
 
+TEST_F(FormatRoundTripTest, ColpackRejectsATruncatedNestedColumn) {
+  Dataset d(Schema{{"authors", ValueType::kList}});
+  d.Append({Value(ValueList{Value("a"), Value(int64_t{1})})});
+  d.Append({Value(ValueList{Value("b")})});
+  ASSERT_TRUE(WriteColpack(d, Path("n.cpk")).ok());
+  const auto size = std::filesystem::file_size(Path("n.cpk"));
+  for (auto cut : {size - 1, size - 8, size / 2}) {
+    std::filesystem::copy_file(Path("n.cpk"), Path("cut.cpk"),
+                               std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(Path("cut.cpk"), cut);
+    auto back = ReadColpack(Path("cut.cpk"));
+    ASSERT_FALSE(back.ok()) << "cut at " << cut;
+    EXPECT_EQ(back.status().code(), StatusCode::kIOError) << back.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace cleanm

@@ -104,7 +104,7 @@ TEST(MetricParseTest, NamesAndAliases) {
   EXPECT_EQ(m, SimilarityMetric::kLevenshtein);
   EXPECT_TRUE(ParseSimilarityMetric("Jaccard", &m));
   EXPECT_EQ(m, SimilarityMetric::kJaccard);
-  EXPECT_TRUE(ParseSimilarityMetric("euclidean", &m));
+  EXPECT_FALSE(ParseSimilarityMetric("euclidean", &m));
   EXPECT_FALSE(ParseSimilarityMetric("cosine", &m));
 }
 
