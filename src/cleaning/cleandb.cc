@@ -349,8 +349,6 @@ std::vector<std::string> CleanDB::SampleCenters(const std::string& table,
 }
 
 Result<OpResult> CleanDB::RunProgrammaticOp(PreparedQuery pq) {
-  // Cache persistence is off because the plan's nodes are never seen again.
-  pq.persist_cache_ = false;
   QueryResultSink sink;
   CLEANM_RETURN_NOT_OK(ExecutePrepared(pq, ExecOptions{}, sink, &sink.result()));
   if (sink.result().ops.empty()) {
@@ -361,13 +359,11 @@ Result<OpResult> CleanDB::RunProgrammaticOp(PreparedQuery pq) {
 
 Result<QueryResult> CleanDB::Execute(const std::string& query_text) {
   CLEANM_ASSIGN_OR_RETURN(PreparedQuery pq, Prepare(query_text));
-  pq.persist_cache_ = false;  // one-shot: the plans die with this call
   return pq.Execute();
 }
 
 Result<QueryResult> CleanDB::ExecuteQuery(const CleanMQuery& query) {
   CLEANM_ASSIGN_OR_RETURN(PreparedQuery pq, PrepareQuery(query));
-  pq.persist_cache_ = false;  // one-shot: the plans die with this call
   return pq.Execute();
 }
 

@@ -50,8 +50,6 @@ struct CleanDBOptions {
   // In brief (see exec_options.h for the full per-knob documentation):
   //   unify_operations   — Nest-coalesced plan forms (Figure-5 ablation).
   //   morsel_rows        — morsel size of the pipelined execution.
-  //   incremental        — serve minor-generation (mutation) re-executions
-  //     from the incremental delta path instead of a full run.
   //   profile / trace_path — operator-level tracing spans + QueryProfile.
 #define CLEANM_X(type, name, default_value) type name = default_value;
   CLEANM_SESSION_KNOBS(CLEANM_X)
@@ -186,9 +184,10 @@ class CleanDB {
   // pinned readers are untouched. A re-execution whose snapshot differs
   // from the cached state only by minor generations is then served by the
   // incremental delta path (see DESIGN.md, "Incremental validation & the
-  // delta log"). All three are thread-safe and atomic (exclusive table
-  // lock); a mutation that changes nothing (no matches, sets equal to the
-  // current values) publishes nothing and bumps nothing.
+  // delta log"); re-registering the table forces a cold run. All three
+  // are thread-safe and atomic (exclusive table lock); a mutation that
+  // changes nothing (no matches, sets equal to the current values)
+  // publishes nothing and bumps nothing.
 
   /// Row predicate for UpdateRows/DeleteRows.
   using RowMatcher = std::function<bool(const Schema&, const Row&)>;
@@ -348,10 +347,9 @@ class CleanDB {
   PreparedQuery SingleOpQuery(CleaningPlan cp);
   /// Shared execution tail of the one-shot ops (the programmatic ops and
   /// CheckDenialConstraint): runs `pq` once through ExecutePrepared — the
-  /// same code path (snapshot, admission, metrics scope, sink emission) as
-  /// Prepare→Execute, with cache persistence off so the throwaway plan's
-  /// Nest outputs never pollute the session cache — and returns its single
-  /// operation's result.
+  /// same code path (snapshot, admission, metrics scope, partition cache,
+  /// sink emission) as Prepare→Execute — and returns its single operation's
+  /// result.
   Result<OpResult> RunProgrammaticOp(PreparedQuery pq);
   /// Shared Prepare body; `query_text` (when available) positions the
   /// kKeyError of an unknown function / arity mismatch at the recorded

@@ -8,6 +8,9 @@
 // directory, page size — are configured once per session; an execution
 // that needs different ones runs on a session built with them.
 //
+// Re-executions after mutations take the incremental delta path whenever
+// it applies; a cold run re-registers the table.
+//
 // The fields shared with CleanDBOptions are generated from
 // CLEANM_SESSION_KNOBS (cleaning/session_knobs.h) so the session default,
 // the per-call optional, and the resolution below can never drift apart:
@@ -18,15 +21,6 @@
 //     the sink (morsel-driven chains with breakers at Nest/Reduce/shuffle
 //     boundaries), clamped to ≥ 1. Violation sets are bit-identical at any
 //     size (CI-gated).
-//   incremental — serve a re-execution whose table snapshot differs from
-//     the cached state only by *minor* generations (mutations via
-//     AppendRows/UpdateRows/DeleteRows) from the incremental delta path:
-//     only delta rows are processed and cached Nest group partials are
-//     merged/re-folded per the monoid annotation, with retractions and
-//     additions tagged through ViolationSink::OnViolationRetracted /
-//     OnViolationNew. false forces a full (cold) execution and also
-//     disables the planner's delta-extended scan rebuild. See DESIGN.md,
-//     "Incremental validation & the delta log".
 //   profile — record operator-level tracing spans and attach a
 //     QueryProfile to the QueryResult (CI-gated ≤ 2% overhead when off).
 //   trace_path — when profiling, additionally write the spans as

@@ -298,7 +298,9 @@ PreparedQuery CleanDB::SingleOpQuery(CleaningPlan cp) {
   PreparedQuery pq;
   pq.db_ = this;
   pq.status_ = Status::OK();
-  pq.unified_roots_ = {cp.plan};
+  // The unified form Prepare would build for this one clause, so the op
+  // shares its Nest with a prepared query over the same clause.
+  pq.unified_roots_ = CoalesceNests({cp.plan}, nullptr).roots;
   pq.plans_.push_back(std::move(cp));
   return pq;
 }
@@ -370,8 +372,8 @@ std::string PreparedQuery::Explain(const ExecOptions& opts) const {
       first_visit = inserted;
       out += "  [shared S" + std::to_string(it->second);
       if (inserted) {
-        out += ": executed once; output cache-resident for the other plans";
-        if (persist_cache_) out += " and for re-executions";
+        out += ": executed once; output cache-resident for the other plans"
+               " and for re-executions";
       } else {
         out += ": see above";
       }
@@ -506,11 +508,9 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
       session_spill_ ? session_spill_->bytes_spilled() : 0;
 
   const PartitionCache::Stats cache_before = cache_.stats();
-  Executor exec{cluster_.get(), &snapshot.catalog, options_.physical, &cache_,
-                pq.persist_cache_};
+  Executor exec{cluster_.get(), &snapshot.catalog, options_.physical, &cache_};
   exec.quarantine = max_quarantined > 0 ? &quarantine : nullptr;
   exec.spill = spill ? &*spill : nullptr;
-  exec.delta_scan = knobs.incremental;
 
   const size_t morsel_rows = std::max<size_t>(1, knobs.morsel_rows);
 
@@ -526,7 +526,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   // work, no scan/Nest cache traffic. Ineligible or cold states fall
   // through to the ordinary loop below (which still benefits from the
   // planner's delta-extended scan rebuild).
-  if (knobs.incremental && pq.incremental_) {
+  if (pq.incremental_) {
     std::vector<AlgOpPtr> inc_roots;
     inc_roots.reserve(pq.plans_.size());
     for (size_t i = 0; i < pq.plans_.size(); i++) {

@@ -102,10 +102,6 @@ class PreparedQuery {
   /// Repair bookkeeping of the SELECT plan (see accessors above).
   std::vector<std::string> repair_fields_;
   std::string repair_table_;
-  /// False for the one-shot Execute convenience: the plans die with this
-  /// object, so their Nest outputs must not persist in (and pollute) the
-  /// session cache.
-  bool persist_cache_ = true;
   /// Shared so the token survives moves of the PreparedQuery while another
   /// thread holds a reference to cancel through.
   std::shared_ptr<engine::CancelToken> cancel_token_ =

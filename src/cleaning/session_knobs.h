@@ -30,6 +30,5 @@
 #define CLEANM_SESSION_KNOBS(X)            \
   X(bool, unify_operations, true)          \
   X(size_t, morsel_rows, 4096)             \
-  X(bool, incremental, true)               \
   X(bool, profile, false)                  \
   X(std::string, trace_path, std::string())

@@ -308,26 +308,17 @@ class Parser {
     CLEANM_RETURN_NOT_OK(ExpectPunct("("));
     DedupClause dedup;
     CLEANM_ASSIGN_OR_RETURN(dedup.op, ParseOpName());
-    // Optional metric + theta: a metric name followed by a number.
     if (IsPunct(",")) {
       lex_.Take();
-      if (lex_.Peek().kind == TokKind::kIdent) {
-        SimilarityMetric metric;
-        if (ParseSimilarityMetric(lex_.Peek().text, &metric)) {
+      CLEANM_ASSIGN_OR_RETURN(bool has_metric,
+                              ParseMetricSlot(&dedup.metric, &dedup.theta));
+      if (has_metric) {
+        if (IsPunct(",")) {
           lex_.Take();
-          dedup.metric = metric;
-          CLEANM_RETURN_NOT_OK(ExpectPunct(","));
-          if (lex_.Peek().kind != TokKind::kNumber) {
-            return lex_.Error("expected similarity threshold");
-          }
-          dedup.theta = lex_.Take().number;
-          if (IsPunct(",")) {
-            lex_.Take();
-          } else {
-            CLEANM_RETURN_NOT_OK(ExpectPunct(")"));
-            q->dedups.push_back(std::move(dedup));
-            return Status::OK();
-          }
+        } else {
+          CLEANM_RETURN_NOT_OK(ExpectPunct(")"));
+          q->dedups.push_back(std::move(dedup));
+          return Status::OK();
         }
       }
       // Attributes.
@@ -348,24 +339,37 @@ class Parser {
     ClusterByClause cb;
     CLEANM_ASSIGN_OR_RETURN(cb.op, ParseOpName());
     CLEANM_RETURN_NOT_OK(ExpectPunct(","));
-    // Optional metric + theta before the term.
-    if (lex_.Peek().kind == TokKind::kIdent) {
-      SimilarityMetric metric;
-      if (ParseSimilarityMetric(lex_.Peek().text, &metric)) {
-        lex_.Take();
-        cb.metric = metric;
-        CLEANM_RETURN_NOT_OK(ExpectPunct(","));
-        if (lex_.Peek().kind != TokKind::kNumber) {
-          return lex_.Error("expected similarity threshold");
-        }
-        cb.theta = lex_.Take().number;
-        CLEANM_RETURN_NOT_OK(ExpectPunct(","));
-      }
-    }
+    CLEANM_ASSIGN_OR_RETURN(bool has_metric, ParseMetricSlot(&cb.metric, &cb.theta));
+    if (has_metric) CLEANM_RETURN_NOT_OK(ExpectPunct(","));
     CLEANM_ASSIGN_OR_RETURN(cb.term, ParseExpr());
     CLEANM_RETURN_NOT_OK(ExpectPunct(")"));
     q->cluster_bys.push_back(std::move(cb));
     return Status::OK();
+  }
+
+  /// The optional `metric, threshold` slot of DEDUP and CLUSTER BY: true
+  /// after consuming a known metric and its threshold, false when the slot
+  /// is absent. An identifier followed by `,` and a number can only be a
+  /// metric, so an unknown one there is an error at its position.
+  Result<bool> ParseMetricSlot(SimilarityMetric* metric, double* theta) {
+    if (lex_.Peek().kind != TokKind::kIdent) return false;
+    SimilarityMetric parsed;
+    if (!ParseSimilarityMetric(lex_.Peek().text, &parsed)) {
+      Lexer ahead = lex_;
+      ahead.Take();
+      if (ahead.Peek().kind != TokKind::kPunct || ahead.Peek().text != ",") return false;
+      ahead.Take();
+      if (ahead.Peek().kind != TokKind::kNumber) return false;
+      return lex_.Error("unknown similarity metric '" + lex_.Peek().text + "'");
+    }
+    lex_.Take();
+    *metric = parsed;
+    CLEANM_RETURN_NOT_OK(ExpectPunct(","));
+    if (lex_.Peek().kind != TokKind::kNumber) {
+      return lex_.Error("expected similarity threshold");
+    }
+    *theta = lex_.Take().number;
+    return true;
   }
 
   // ---- Expressions (precedence climbing) ----

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "monoid/eval.h"
+#include "text/similarity.h"
 
 namespace cleanm {
 
@@ -179,6 +180,18 @@ Result<CompiledExpr> CompileExpr(const ExprPtr& e, const TupleLayout& layout,
         auto r = EvalBuiltin(fn, probe);
         if (!r.ok() && r.status().code() == StatusCode::kKeyError) {
           return Status::KeyError("unknown builtin function '" + fn + "'");
+        }
+      }
+      // Likewise a constant metric name the similarity builtins refuse: a
+      // bad query, as in the reference evaluator, not null on every row.
+      if ((fn == "similarity" || fn == "similar") && !e->args.empty() &&
+          e->args[0]->kind == ExprKind::kConst &&
+          e->args[0]->literal.type() == ValueType::kString) {
+        const std::string& metric_name = e->args[0]->literal.AsString();
+        SimilarityMetric metric;
+        if (!ParseSimilarityMetric(metric_name, &metric)) {
+          return Status::InvalidArgument("unknown similarity metric '" +
+                                         metric_name + "'");
         }
       }
       return CompiledExpr([fn, args](const Value& tuple) {

@@ -97,7 +97,7 @@ PartitionPin PartitionCache::ReviveLocked(std::map<Key, Entry>::iterator it) {
 PartitionPin PartitionCache::FindScan(const std::string& table,
                                       uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  return FindLocked(Key{Kind::kScan, nullptr, table, "", generation});
+  return FindLocked(Key{Kind::kScan, table, "", generation});
 }
 
 PartitionPin PartitionCache::PutScan(const std::string& table,
@@ -108,7 +108,7 @@ PartitionPin PartitionCache::PutScan(const std::string& table,
   entry.data = std::make_shared<const engine::Partitioned>(std::move(data));
   entry.deps = {{table, generation}};
   std::lock_guard<std::mutex> lock(mu_);
-  return PutLocked(Key{Kind::kScan, nullptr, table, "", generation},
+  return PutLocked(Key{Kind::kScan, table, "", generation},
                    std::move(entry));
 }
 
@@ -116,7 +116,7 @@ PartitionPin PartitionCache::FindWrap(const std::string& table,
                                       const std::string& var,
                                       uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  return FindLocked(Key{Kind::kWrap, nullptr, table, var, generation});
+  return FindLocked(Key{Kind::kWrap, table, var, generation});
 }
 
 PartitionPin PartitionCache::PutWrap(const std::string& table,
@@ -128,17 +128,17 @@ PartitionPin PartitionCache::PutWrap(const std::string& table,
   entry.data = std::make_shared<const engine::Partitioned>(std::move(data));
   entry.deps = {{table, generation}};
   std::lock_guard<std::mutex> lock(mu_);
-  return PutLocked(Key{Kind::kWrap, nullptr, table, var, generation},
+  return PutLocked(Key{Kind::kWrap, table, var, generation},
                    std::move(entry));
 }
 
 PartitionPin PartitionCache::FindNest(
-    const AlgOp* node,
+    const AlgOpPtr& plan,
     const std::function<uint64_t(const std::string&)>& generation_of) {
-  const Key key{Kind::kNest, node, "", "", 0};
+  const Key key{Kind::kNest, plan->ToString(), "", 0};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  if (it == entries_.end() || !AlgEquals(it->second.plan, plan)) {
     stats_.nest_misses++;
     return nullptr;
   }
@@ -163,15 +163,16 @@ PartitionPin PartitionCache::FindNest(
 }
 
 PartitionPin PartitionCache::PutNest(
-    const AlgOpPtr& node, std::vector<std::pair<std::string, uint64_t>> deps,
+    const AlgOpPtr& plan, std::vector<std::pair<std::string, uint64_t>> deps,
     engine::Partitioned data) {
   Entry entry;
   entry.bytes = PartitionedBytes(data);
   entry.data = std::make_shared<const engine::Partitioned>(std::move(data));
   entry.deps = std::move(deps);
-  entry.pinned = node;
+  entry.plan = plan;
+  Key key{Kind::kNest, plan->ToString(), "", 0};
   std::lock_guard<std::mutex> lock(mu_);
-  return PutLocked(Key{Kind::kNest, node.get(), "", "", 0}, std::move(entry));
+  return PutLocked(std::move(key), std::move(entry));
 }
 
 PartitionPin PartitionCache::PutLocked(Key key, Entry entry) {

@@ -2,14 +2,16 @@
 // executor's per-query scan/wrap/nest maps.
 //
 // A CleanDB session owns one PartitionCache; every Executor the session
-// creates shares it. Entries are keyed by (kind, table, var, node identity,
-// table generation), so
-//   * repeated executions of a PreparedQuery reuse the parallelized scans,
-//     the {var: record} wrapped scans, and the outputs of coalesced Nest
-//     stages instead of re-partitioning,
+// creates shares it. Scans and wrapped scans are keyed by (table, var,
+// generation), Nest outputs by plan structure, so
+//   * executions reuse the parallelized scans, the {var: record} wrapped
+//     scans, and any Nest already computed over the same table generations
+//     — whether the plan comes from a held PreparedQuery, a one-shot
+//     Execute, a programmatic op or a fresh Prepare — instead of
+//     re-partitioning,
 //   * a re-registered table (generation bump) can never be served stale —
 //     RegisterTable invalidates eagerly AND the stale generation no longer
-//     matches the key.
+//     matches the key (scans) or the recorded dependencies (Nests).
 // The partition count is not part of the key: a cache belongs to one
 // session, whose cluster width is fixed at construction.
 //
@@ -115,21 +117,23 @@ class PartitionCache {
   PartitionPin PutWrap(const std::string& table, const std::string& var,
                        uint64_t generation, engine::Partitioned data);
 
-  // ---- Nest outputs (keyed by node identity; the node is pinned) ----
+  // ---- Nest outputs (keyed by plan structure) ----
 
-  /// `generation_of` resolves a table name to its current generation; a hit
-  /// requires every recorded dependency to still match. `generation_of` is
-  /// called while the cache lock is held — it must not call back into the
-  /// cache (resolving against a Catalog snapshot satisfies this).
+  /// `plan->ToString()` picks the slot; a hit requires the slot's stored
+  /// plan to be AlgEquals to `plan` (plans that render alike but differ in
+  /// a field the rendering omits, such as a token-filtering q, miss) and
+  /// every recorded dependency to still match `generation_of` (table →
+  /// current generation), which is called under the cache lock and must
+  /// not call back into the cache.
   PartitionPin FindNest(
-      const AlgOp* node,
+      const AlgOpPtr& plan,
       const std::function<uint64_t(const std::string&)>& generation_of);
-  /// `node` is retained (shared ownership) while the entry lives, so a
-  /// recycled heap address can never alias a cached result. `deps` lists
-  /// every (table, generation) the Nest's input subtree read. Returns a pin
-  /// on the admitted entry (never evicted by its own budget pass), so the
-  /// pipelined executor can stream from it without copying.
-  PartitionPin PutNest(const AlgOpPtr& node,
+  /// Stores `data` as the output of the Nest subtree `plan`, replacing
+  /// whatever held its slot. `deps` lists every (table, generation) the
+  /// subtree read. Returns a pin on the admitted entry (never evicted by
+  /// its own budget pass), so the pipelined executor can stream from it
+  /// without copying.
+  PartitionPin PutNest(const AlgOpPtr& plan,
                        std::vector<std::pair<std::string, uint64_t>> deps,
                        engine::Partitioned data);
 
@@ -156,8 +160,8 @@ class PartitionCache {
 
  private:
   enum class Kind { kScan, kWrap, kNest };
-  /// (kind, nest-node identity, table, var, generation).
-  using Key = std::tuple<Kind, const AlgOp*, std::string, std::string, uint64_t>;
+  /// (kind, table or a Nest's plan rendering, var, generation).
+  using Key = std::tuple<Kind, std::string, std::string, uint64_t>;
 
   struct Entry {
     /// Resident copy; null while the entry is paged out (`!paged.empty()`).
@@ -166,8 +170,8 @@ class PartitionCache {
     uint64_t last_used = 0;
     /// Tables (with the generations seen) this entry depends on.
     std::vector<std::pair<std::string, uint64_t>> deps;
-    /// Nest entries pin their plan node against address reuse.
-    AlgOpPtr pinned;
+    /// Nest entries: the subtree whose output `data` is.
+    AlgOpPtr plan;
     /// Page spans of the written-back copy (pager installed). Kept after a
     /// revival: the data under a key never changes, so the next eviction
     /// is free — drop the resident copy, the spans stay valid.

@@ -231,23 +231,19 @@ Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
   auto local_pin = [](const Partitioned& data) {
     return PartitionPin(PartitionPin{}, &data);
   };
-  // Execution-local entries are checked first even when persisting: a nest
-  // that quarantined poison rows during its build lands here instead of the
-  // session cache (see below), and later consumers in this execution must
+  // A Nest that quarantined poison rows during its build lands here instead
+  // of the session cache (see below); later consumers in this execution
   // share it rather than rebuild.
   auto local = local_nests.find(plan.get());
   if (local != local_nests.end()) {
     op_span.SetRowsOut(engine::Cluster::TotalRows(local->second));
     return local_pin(local->second);
   }
-  if (persist_nests) {
-    const Catalog& cat = *catalog;
-    if (PartitionPin cached = cache->FindNest(
-            plan.get(),
-            [&cat](const std::string& t) { return cat.GenerationOf(t); })) {
-      op_span.SetRowsOut(engine::Cluster::TotalRows(*cached));
-      return cached;
-    }
+  const Catalog& cat = *catalog;
+  if (PartitionPin cached = cache->FindNest(
+          plan, [&cat](const std::string& t) { return cat.GenerationOf(t); })) {
+    op_span.SetRowsOut(engine::Cluster::TotalRows(*cached));
+    return cached;
   }
 
   CLEANM_ASSIGN_OR_RETURN(CompiledNest compiled, CompileNestStage(plan));
@@ -291,7 +287,7 @@ Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
   // execution-local instead; within-execution sharing still works.
   const bool poisoned =
       quarantine && quarantine->size() > quarantined_before;
-  if (!persist_nests || poisoned) {
+  if (poisoned) {
     auto placed = local_nests.emplace(plan.get(), std::move(result)).first;
     return local_pin(placed->second);
   }

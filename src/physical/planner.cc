@@ -42,7 +42,7 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
   PartitionPin base = cache->FindScan(scan.table, generation);
   if (base) {
     cache->CountScanHit();
-  } else if (delta_scan) {
+  } else {
     // Delta-extended rebuild: a cached partitioning of an earlier
     // generation of this table can be patched forward through the
     // mutation delta log — each removed row erased in place (the first

@@ -20,8 +20,9 @@
 // algebra rewriter — shared scans (each table parallelized once, Figure 1's
 // DAG) and shared Nests (a coalesced Nest node executes once and feeds
 // every consumer) — by reading and writing the session-owned
-// PartitionCache, so the sharing extends across repeated executions of a
-// PreparedQuery, not just within one query.
+// PartitionCache, so the sharing extends across executions: any later plan
+// holding a structurally equal Nest over the same table generations reuses
+// its output, whether it comes from the same PreparedQuery or not.
 #pragma once
 
 #include <map>
@@ -86,14 +87,12 @@ struct PhysicalOptions {
 struct Executor {
   Executor(engine::Cluster* cluster_in, const Catalog* catalog_in,
            PhysicalOptions options_in, PartitionCache* cache_in,
-           bool persist_nests_in = true,
            const FunctionRegistry* functions_in = nullptr)
       : cluster(cluster_in),
         catalog(catalog_in),
         options(options_in),
         functions(functions_in ? functions_in : catalog_in->functions),
-        cache(cache_in),
-        persist_nests(persist_nests_in) {}
+        cache(cache_in) {}
 
   engine::Cluster* cluster = nullptr;
   const Catalog* catalog = nullptr;
@@ -103,17 +102,13 @@ struct Executor {
   /// monoids whose partial accumulators merge across worker nodes like the
   /// built-ins. Defaults to the catalog's registry.
   const FunctionRegistry* functions = nullptr;
-  /// Session-owned partition cache (required): scans, wrapped scans, and
-  /// Nest outputs are looked up and published here, keyed by table
-  /// generation.
+  /// Session-owned partition cache (required): scans and wrapped scans are
+  /// looked up and published here keyed by table generation, Nest outputs
+  /// keyed by plan structure.
   PartitionCache* cache = nullptr;
-  /// When false, Nest outputs go into `local_nests` instead of the session
-  /// cache. Nest entries are keyed by plan-node identity, so outputs of
-  /// *transient* plans (one-shot Execute, the programmatic ops) could
-  /// never be hit again — persisting them would only pin dead partitions
-  /// and LRU-evict live ones. Within-execution sharing of a coalesced
-  /// Nest (Figure 1) works in either mode.
-  bool persist_nests = true;
+  /// Nest outputs built while rows were quarantined: incomplete, so they
+  /// stay out of the session cache and serve only this execution's other
+  /// consumers of the same Nest.
   std::map<const AlgOp*, engine::Partitioned> local_nests;
   /// Per-execution poison-row quarantine (null = off). When set, pipeline
   /// segments route a row whose compiled expression or UDF throws into the
@@ -125,13 +120,6 @@ struct Executor {
   /// and over budget, Nest partials and hash-join build sides go to the
   /// spill file and are re-read for the merge/probe phase.
   SpillContext* spill = nullptr;
-  /// Delta-extended scan rebuild: on a base-scan cache miss, a cached
-  /// partitioning of an earlier generation of the same table may be
-  /// patched forward through the table's delta log (rows removed/appended
-  /// in place of a full re-partition), as long as the whole window since
-  /// that generation is mutations. False (ExecOptions::incremental=false)
-  /// forces every miss to re-partition from the catalog dataset.
-  bool delta_scan = true;
 
   /// Compile context for this execution: registered functions + the
   /// cluster's metrics (udf_calls accounting).
@@ -220,7 +208,8 @@ struct Executor {
   };
 
   /// The {var: record} wrapped scan, resolved through (and pinned in) the
-  /// session cache.
+  /// session cache (a miss may patch an earlier generation forward through
+  /// the delta log).
   Result<PartitionPin> WrappedScan(const AlgOp& scan);
 
   /// Executes a join node over already-resolved inputs.

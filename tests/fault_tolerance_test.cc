@@ -222,8 +222,13 @@ TEST(FaultToleranceTest, BlacklistedNodeIsRoutedAroundAndExecutionSucceeds) {
   ExpectSameViolationSets(clean_db.Execute(kFdQuery).ValueOrDie(), result);
 
   // New partitionings route around the blacklisted node for the rest of
-  // the session.
+  // the session: re-registering the table makes the next run partition
+  // and aggregate it again, and no task lands on the benched node.
+  db.RegisterTable("customer", testsupport::MakeCustomers());
   const QueryResult again = db.Execute(kFdQuery).ValueOrDie();
+  EXPECT_GT(again.cache.scan_misses, 0u);
+  EXPECT_EQ(again.cache.nest_misses, result.cache.nest_misses);
+  EXPECT_EQ(again.metrics.tasks_failed, 0u);
   ExpectSameViolationSets(result, again);
 }
 

@@ -82,6 +82,22 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseCleanM("SELECT * FROM t FD(a.b)").ok());          // missing RHS
   EXPECT_FALSE(ParseCleanM("SELECT * FROM t DEDUP(bogus_algo, x)").ok());
   EXPECT_FALSE(ParseCleanM("SELECT * FROM t trailing garbage ,").ok());
+
+  // An identifier followed by `, <number>` can only fill the metric slot:
+  // an unknown metric there is reported by name, at its position.
+  for (const std::string text :
+       {"SELECT * FROM t c DEDUP(tf, euclidean, 0.8, c.name)",
+        "SELECT * FROM t c, t d CLUSTER BY(tf, euclidean, 0.8, c.name)"}) {
+    auto r = ParseCleanM(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << text;
+    const std::string& message = r.status().message();
+    EXPECT_NE(message.find("unknown similarity metric 'euclidean'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("offset " + std::to_string(text.find("euclidean"))),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(ParserTest, StandaloneExpressions) {
@@ -315,25 +331,33 @@ TEST(CleanDBTest, ErrorsSurfaceCleanly) {
 
 TEST(CleanDBTest, EuclideanIsAnUnknownStringMetric) {
   // No string path compares by Euclidean distance: naming the metric is a
-  // bad input, never a process abort. A projection's failing builtin
-  // evaluates to null; the DEDUP clause does not parse "euclidean" as a
-  // metric, so it fails with a Status.
+  // bad input, never a process abort. A constant metric name in the
+  // similarity builtins is checked when the plan compiles (InvalidArgument
+  // naming it, as the reference evaluator reports); the DEDUP and CLUSTER
+  // BY clauses reject it when parsing.
   CleanDB db(FastOptions());
   Dataset t(Schema{{"name", ValueType::kString}});
   t.Append({Value("mary jones")});
   t.Append({Value("mary jone")});
   db.RegisterTable("t", t);
-  auto similarity =
-      db.Execute("SELECT c.name, similarity('euclidean', c.name, c.name) FROM t c");
-  ASSERT_TRUE(similarity.ok()) << similarity.status().ToString();
-  ASSERT_EQ(similarity.value().ops.size(), 1u);
-  ASSERT_EQ(similarity.value().ops[0].violations.size(), 2u);
-  for (const auto& row : similarity.value().ops[0].violations) {
-    EXPECT_TRUE(row.GetField("similarity").ValueOrDie().is_null()) << row.ToString();
+  for (const char* query :
+       {"SELECT c.name, similarity('euclidean', c.name, c.name) FROM t c",
+        "SELECT c.name FROM t c WHERE similar('euclidean', c.name, 'mary', 0.5)"}) {
+    auto result = db.Execute(query);
+    ASSERT_FALSE(result.ok()) << query;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << query;
+    EXPECT_NE(result.status().message().find("unknown similarity metric 'euclidean'"),
+              std::string::npos)
+        << result.status().ToString();
   }
-  EXPECT_FALSE(db.Execute("SELECT * FROM t c DEDUP(tf, euclidean, 0.8, c.name)").ok());
-  EXPECT_FALSE(db.Execute("SELECT * FROM t c, t d CLUSTER BY(tf, euclidean, 0.8, c.name)")
-                   .ok());
+  EXPECT_EQ(db.Execute("SELECT * FROM t c DEDUP(tf, euclidean, 0.8, c.name)")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(db.Execute("SELECT * FROM t c, t d CLUSTER BY(tf, euclidean, 0.8, c.name)")
+                .status()
+                .code(),
+            StatusCode::kParseError);
 }
 
 // ---- Baselines ----

@@ -352,11 +352,12 @@ TEST(PreparedQueryTest, PartitionCacheRespectsByteBudgetAcrossTables) {
       const std::string query = "SELECT * FROM " + t + " c FD(c.address, c.nationkey)";
       auto cold = db.Execute(query);
       ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-      // One-shot Execute re-prepares (fresh Nest nodes → no nest reuse),
-      // but the table scans are keyed by name+generation and must hit.
+      // One-shot Execute re-prepares, but its Nest is structurally the
+      // cold run's and still resident: it must hit.
       auto warm = db.Execute(query);
       ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-      EXPECT_GT(warm.value().cache.scan_hits, 0u) << t;
+      EXPECT_GT(warm.value().cache.nest_hits, 0u) << t;
+      EXPECT_EQ(warm.value().cache.nest_misses, 0u) << t;
       EXPECT_LE(db.partition_cache().stats().resident_bytes,
                 budgeted.partition_cache_bytes)
           << db.partition_cache().stats().ToString();
@@ -366,32 +367,156 @@ TEST(PreparedQueryTest, PartitionCacheRespectsByteBudgetAcrossTables) {
   EXPECT_GT(stats.evictions, 0u) << stats.ToString();
 }
 
-TEST(PreparedQueryTest, TransientExecutionsDoNotPolluteTheNestCache) {
-  // One-shot Execute and the programmatic ops build throwaway plans; their
-  // Nest outputs are identity-keyed and could never be hit again, so they
-  // must not accumulate in (and LRU-thrash) the session cache.
+TEST(PreparedQueryTest, NestCacheSharesExactlyTheStructurallyEqualPlans) {
+  // Nest outputs are keyed by plan structure. A one-shot Execute, the
+  // programmatic CheckFd and a fresh Prepare of the same FD each build
+  // their own plan, and each is served the first run's Nest: no call adds
+  // a cache entry.
   CleanDB db(FastOptions());
   db.RegisterTable("customer", DirtyCustomers());
   const char* query = "SELECT * FROM customer c FD(c.address, c.nationkey)";
 
-  ASSERT_TRUE(db.Execute(query).ok());
-  const uint64_t entries_after_first = db.partition_cache().stats().resident_entries;
-  ASSERT_TRUE(db.Execute(query).ok());
+  auto first = db.Execute(query).ValueOrDie();
+  EXPECT_GT(first.cache.nest_misses, 0u);
+  ASSERT_GT(first.ops[0].violations.size(), 0u);
+  const uint64_t entries = db.partition_cache().stats().resident_entries;
+
+  auto again = db.Execute(query).ValueOrDie();
+  EXPECT_EQ(again.cache.nest_misses, 0u);
+  EXPECT_GT(again.cache.nest_hits, 0u);
+  ExpectResultsBitIdentical(first, again);
+  EXPECT_EQ(db.partition_cache().stats().resident_entries, entries);
+
   FdClause fd;
   fd.lhs = {ParseCleanMExpr("c.address").ValueOrDie()};
   fd.rhs = {ParseCleanMExpr("c.nationkey").ValueOrDie()};
-  ASSERT_TRUE(db.CheckFd("customer", "c", fd).ok());
-  // Only the (table, generation)-keyed scan/wrap entries persist — no
-  // per-call nest growth.
-  EXPECT_EQ(db.partition_cache().stats().resident_entries, entries_after_first);
+  const PartitionCache::Stats before_check = db.partition_cache().stats();
+  auto checked = db.CheckFd("customer", "c", fd).ValueOrDie();
+  const PartitionCache::Stats check_delta =
+      db.partition_cache().stats().Since(before_check);
+  EXPECT_EQ(check_delta.nest_misses, 0u);
+  EXPECT_GT(check_delta.nest_hits, 0u);
+  EXPECT_EQ(CanonicalSet(checked.violations), CanonicalSet(first.ops[0].violations));
+  EXPECT_EQ(db.partition_cache().stats().resident_entries, entries);
 
-  // A held PreparedQuery's nests DO persist (that is the point of it).
   auto prepared = db.Prepare(query);
-  ASSERT_TRUE(prepared.ok());
-  ASSERT_TRUE(prepared.value().Execute().ok());
-  EXPECT_GT(db.partition_cache().stats().resident_entries, entries_after_first);
-  auto again = prepared.value().Execute().ValueOrDie();
-  EXPECT_GT(again.cache.nest_hits, 0u);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto fresh = prepared.value().Execute().ValueOrDie();
+  EXPECT_EQ(fresh.cache.nest_misses, 0u);
+  EXPECT_GT(fresh.cache.nest_hits, 0u);
+  ExpectResultsBitIdentical(first, fresh);
+  EXPECT_EQ(db.partition_cache().stats().resident_entries, entries);
+
+  // A different scanned var renders differently: its own Nest, never the
+  // FD's.
+  auto other_var =
+      db.Execute("SELECT * FROM customer d FD(d.address, d.nationkey)").ValueOrDie();
+  EXPECT_GT(other_var.cache.nest_misses, 0u);
+  EXPECT_EQ(other_var.cache.nest_hits, 0u);
+  EXPECT_EQ(other_var.ops[0].violations.size(), first.ops[0].violations.size());
+
+  // Plans that differ only in the token-filtering q or the k-means centers
+  // render alike, so they share a slot; the AlgEquals check on a hit keeps
+  // each from being served the other's output. A having constant or a
+  // scanned var changes the rendering itself.
+  auto nest = [](const std::string& var, FilteringAlgo algo, size_t q,
+                 std::vector<std::string> centers, const char* having) {
+    GroupSpec group;
+    group.algo = algo;
+    group.term = ParseCleanMExpr(var + ".address").ValueOrDie();
+    group.q = q;
+    group.centers = std::move(centers);
+    return NestOp(Scan("customer", var), std::move(group),
+                  {NestAgg{"members", "bag", ParseCleanMExpr(var).ValueOrDie()}},
+                  ParseCleanMExpr(having).ValueOrDie());
+  };
+  const auto tf = FilteringAlgo::kTokenFiltering;
+  const auto km = FilteringAlgo::kKMeans;
+  struct Variant {
+    const char* what;
+    AlgOpPtr a, b;
+    bool renders_alike;
+  };
+  const std::vector<Variant> variants = {
+      {"q", nest("c", tf, 2, {}, "count(members) > 1"),
+       nest("c", tf, 3, {}, "count(members) > 1"), true},
+      {"centers", nest("c", km, 2, {"a", "b"}, "count(members) > 1"),
+       nest("c", km, 2, {"a", "c"}, "count(members) > 1"), true},
+      {"having", nest("c", tf, 2, {}, "count(members) > 1"),
+       nest("c", tf, 2, {}, "count(members) > 2"), false},
+      {"var", nest("c", tf, 2, {}, "count(members) > 1"),
+       nest("d", tf, 2, {}, "count(members) > 1"), false},
+  };
+  auto generation_of = [](const std::string&) { return uint64_t{1}; };
+  auto holds = [](const PartitionPin& pin, const char* tag) {
+    return pin != nullptr && (*pin)[0][0][0].Equals(Value(tag));
+  };
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.what);
+    EXPECT_EQ(v.a->ToString() == v.b->ToString(), v.renders_alike);
+    PartitionCache cache;
+    cache.PutNest(v.a, {{"customer", 1}}, {{Row{Value("a")}}});
+    EXPECT_EQ(cache.FindNest(v.b, generation_of), nullptr);
+    cache.PutNest(v.b, {{"customer", 1}}, {{Row{Value("b")}}});
+    EXPECT_TRUE(holds(cache.FindNest(v.b, generation_of), "b"));
+    EXPECT_TRUE(holds(cache.FindNest(AlgClone(v.b), generation_of), "b"));
+    PartitionPin a = cache.FindNest(v.a, generation_of);
+    // Same slot: b replaced a. Different slots: both stay resident.
+    EXPECT_EQ(a == nullptr, v.renders_alike);
+    if (a) {
+      EXPECT_TRUE(holds(a, "a"));
+    }
+  }
+}
+
+TEST(PreparedQueryTest, ReRegisteredDataTableKeepsTheDictionaryNest) {
+  // The fuzzy_clean shape: a new customer batch is registered and the
+  // README query prepared again. The dictionary never changes, so its
+  // CLUSTER BY Nest is served from the cache, and the violations are a
+  // fresh session's.
+  const char* query = R"(
+    SELECT * FROM customer c, dictionary d
+    FD(c.address, prefix(c.phone))
+    DEDUP(token filtering, LD, 0.8, c.address)
+    CLUSTER BY(token filtering, LD, 0.8, c.name)
+  )";
+  datagen::CustomerOptions copts;
+  copts.base_rows = 60;
+  copts.duplicate_fraction = 0.1;
+  copts.max_duplicates = 3;
+  copts.fd_violation_fraction = 0.05;
+  Dataset batch1 = datagen::MakeCustomer(copts);
+  copts.seed = copts.seed + 1;
+  Dataset batch2 = datagen::MakeCustomer(copts);
+  Dataset dictionary(Schema{{"name", ValueType::kString}});
+  {
+    std::vector<std::string> names;
+    for (const Dataset* batch : {&batch1, &batch2}) {
+      const size_t name_idx = batch->schema().IndexOf("name").ValueOrDie();
+      for (const auto& row : batch->rows()) names.push_back(row[name_idx].AsString());
+    }
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    for (const auto& n : names) dictionary.Append({Value(n + " x")});
+  }
+
+  CleanDB db(FastOptions());
+  db.RegisterTable("dictionary", dictionary);
+  db.RegisterTable("customer", batch1);
+  ASSERT_TRUE(db.Prepare(query).ValueOrDie().Execute().ok());
+  db.RegisterTable("customer", batch2);
+  auto second = db.Prepare(query).ValueOrDie().Execute().ValueOrDie();
+  EXPECT_GT(second.cache.nest_hits, 0u);
+  EXPECT_GT(second.cache.nest_misses, 0u);  // the customer Nests rebuild
+
+  CleanDB fresh(FastOptions());
+  fresh.RegisterTable("dictionary", dictionary);
+  fresh.RegisterTable("customer", batch2);
+  auto expected = fresh.Execute(query).ValueOrDie();
+  EXPECT_EQ(expected.cache.nest_hits, 0u);
+  ASSERT_EQ(expected.ops.size(), 3u);
+  ASSERT_GT(expected.ops[2].violations.size(), 0u);
+  ExpectSameViolationSets(second, expected);
 }
 
 TEST(PartitionCacheTest, LruEvictionPrefersLeastRecentlyUsed) {
@@ -896,7 +1021,7 @@ TEST(PreparedQueryTest, RetractionsAndNewTagsReconcileWithColdExecution) {
   }
 }
 
-TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
+TEST(PreparedQueryTest, ReRegistrationAndIneligiblePlansFallBackCorrectly) {
   datagen::CustomerOptions copts;
   copts.base_rows = 150;
   copts.duplicate_fraction = 0;
@@ -912,11 +1037,10 @@ TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
 
   AppendFreshFdViolation(db, "customer", v1);
 
-  // incremental=false forces the full engine path — and also disables the
-  // planner's delta-extended scan rebuild, so the table re-partitions.
-  ExecOptions full;
-  full.incremental = false;
-  auto cold = pq.Execute(full).ValueOrDie();
+  // Re-registering the mutated table starts a new major generation: the
+  // delta path does not apply, and the engine re-partitions the table.
+  db.RegisterTable("customer", *db.GetTableShared("customer").ValueOrDie());
+  auto cold = pq.Execute().ValueOrDie();
   EXPECT_EQ(cold.metrics.incremental_executions, 0u);
   EXPECT_GT(cold.metrics.rows_scanned, 0u);
   EXPECT_EQ(cold.ops[0].violations.size(), before.ops[0].violations.size() + 1);
